@@ -83,10 +83,8 @@ def leg_headline() -> dict:
     import ray.data as rd
 
     from dug_ray.io import spanify
-    from dug_ray.stages.annotate import ner_batch
+    from dug_ray.pipelines import kg
     from dug_ray.stages.canonicalize import build_concepts
-    from dug_ray.stages.expand import triples_partial
-    from dug_ray.stages.link import link_batch
     from dug_ray.stages.materialize import materialize_graph
     from dug_ray.stages.parse import parse_elements
 
@@ -95,13 +93,11 @@ def leg_headline() -> dict:
     with open(doc_path, "rb") as f:
         f.read()
 
-    def linked_ds(n_rep):
-        els = parse_elements(spanify(_read_docs_amplified(sf_dir, ncpu, n_rep)))
-        return (els.map_batches(ner_batch, batch_format="pyarrow", batch_size=None)
-                .map_batches(link_batch, batch_format="pyarrow", batch_size=None))
+    def docs(n_rep):
+        return spanify(_read_docs_amplified(sf_dir, ncpu, n_rep))
 
     out_dir = f"/tmp/bench_out/kg_{ncpu}"
-    # untimed 1x warmup: spins up the actor pools / imports / object-store
+    # untimed 1x warmup: spins up the workers / imports / object-store
     # paths so even a REPEATS=1 leg measures the WARM pipeline — Ray
     # session startup is a fixed per-job cost that amortizes to zero on a
     # real long-running cluster job, and at ~2-4 s it suppresses the
@@ -109,8 +105,7 @@ def leg_headline() -> dict:
     # (biasing raw 8->32 efficiency downward by ~0.05-0.10 on this VM)
     if not os.environ.get("GRAFT_BENCH_NO_WARMUP"):
         shutil.rmtree(out_dir, ignore_errors=True)
-        materialize_graph(triples_partial(linked_ds(1)), out_dir,
-                          dedup=True)
+        materialize_graph(kg.triples(docs(1), parse_elements), out_dir)
     # GRAFT_BENCH_REPEATS>1 -> take the min (least-interference estimate:
     # this shared-host VM shows ~9% steal, single runs vary +-30%; default
     # 3 so round-over-round deltas aren't read off noise)
@@ -118,7 +113,7 @@ def leg_headline() -> dict:
     for _ in range(repeats):
         shutil.rmtree(out_dir, ignore_errors=True)
         t0 = time.time()
-        materialize_graph(triples_partial(linked_ds(replicate)), out_dir, dedup=True)
+        materialize_graph(kg.triples(docs(replicate), parse_elements), out_dir)
         times.append(round(time.time() - t0, 3))
     n_triples = rd.read_parquet(out_dir).count()
 
@@ -128,7 +123,7 @@ def leg_headline() -> dict:
     # bounded to 20x amplification so it doesn't dominate scaling-run wall
     if not os.environ.get("GRAFT_BENCH_SKIP_SECONDARY"):
         t0 = time.time()
-        build_concepts(linked_ds(min(replicate, 20))).to_pandas()
+        build_concepts(kg.linked(docs(min(replicate, 20)), parse_elements)).to_pandas()
         result["concepts_20x"] = round(time.time() - t0, 3)
 
     ray.shutdown()
@@ -233,7 +228,7 @@ def _scaling_window(n_pairs: int) -> dict:
     def run(ncpu: int) -> dict:
         # REPEATS=1 but the leg itself runs an untimed 1x warmup first
         # (see leg_headline), so the single timed run is WARM — scaling
-        # measures the pipeline, not ray.init / actor-pool spin-up.
+        # measures the pipeline, not ray.init / worker spin-up.
         env = dict(os.environ, RAY_GRAFT_CPUS=str(ncpu), GRAFT_BENCH_REPEATS="1",
                    GRAFT_BENCH_SKIP_SECONDARY="1")
         for attempt in range(2):

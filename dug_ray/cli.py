@@ -54,18 +54,13 @@ def cmd_crawl(args) -> int:
         n = output_triples(args.out).count()
     else:
         from dug_ray.io import read_interleaved
-        from dug_ray.stages.annotate import ner_batch
-        from dug_ray.stages.expand import triples_partial
-        from dug_ray.stages.link import link_batch
+        from dug_ray.pipelines import kg
         from dug_ray.stages.materialize import materialize_graph, read_graph
-        els = parser(read_interleaved(args.sf_dir))
-        linked = (els.map_batches(ner_batch, batch_format="pyarrow", batch_size=None)
-                  .map_batches(link_batch, batch_format="pyarrow", batch_size=None))
         # a non-resumable crawl is a FRESH run: clear any previous output
         # (a completed manifest from an earlier corpus would otherwise
         # skip every bucket and serve the old triples)
-        materialize_graph(triples_partial(linked), args.out, dedup=True,
-                          resume=False)
+        materialize_graph(kg.triples(read_interleaved(args.sf_dir), parser),
+                          args.out, resume=False)
         n = read_graph(args.out).count()
     print(json.dumps({"out": args.out, "triples": int(n)}))
     return 0

@@ -44,9 +44,8 @@ def export_searchable(sf_dir: str, out_dir: str) -> dict[str, int]:
     """Write the three searchable datasets; returns row counts."""
     from dug_ray import queries as q
 
-    # the session cache — q_kg_answers below reads the SAME pinned linked
-    # stream instead of re-running parse->NER->link a second time
-    linked = kg.linked_mentions_cached(sf_dir)
+    # pinned for this export only: concepts and element_terms both read it
+    linked = kg.linked_mentions_ds(sf_dir).materialize()
     # consumed twice (element_terms' take_all + write_parquet): pin once so
     # the canonicalization shuffle doesn't re-execute
     concepts = build_concepts(linked).materialize()

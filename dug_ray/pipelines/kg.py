@@ -1,139 +1,99 @@
 """Flagship pipeline: documents -> knowledge-graph triple table.
 
-The Ray-Data lifecycle of SURVEY.md §3.4 — the streaming equivalent of
-``dug crawl`` (``/root/reference/src/dug/cli.py:111-118`` ->
-``core/crawler.py:45-107``):
+The Ray-Data form of ``dug crawl`` (SURVEY.md §3.4; reference
+``src/dug/cli.py:111-118`` -> ``core/crawler.py:45-107``), built ONE way:
+a single streaming pass of fused map stages and one exchange,
 
-    read -> spanify -> parse (elements) -> NER (mentions, actor pool)
-         -> link+normalize (canonical CURIEs, actor pool)
-         -> canonicalize shuffle (concepts)
-         -> expand vs ontology edges (expansion triples)
-         -> U annotates edges (concept->element)
-         -> sort('subj') -> bucket-partitioned parquet
+    read -> spanify -> parse (elements)
+         -> NER (ner_batch: candidate mentions)
+         -> link+normalize (link_batch: canonical CURIEs)
+         -> triples_partial (per batch: annotates pairs U ontology-edge
+            expansion)
+         -> salted subject-bucket exchange: exact dedup + sort
+            (kg_triples returns it; the crawl's materialize_graph also
+            writes each partition)
 
-Each stage is lazy; the streaming executor pipelines them with backpressure.
-Nothing materializes the full corpus: only the concepts table (bounded by
-ontology size) is ever collected.
+Every stateful stage is a task whose state is memoized per worker process
+and per stage options (stages/annotate.py, stages/link.py). ``linked`` is
+the one place the parse -> NER -> link chain is composed: the CLI crawl, the
+resumable runner, ``bench.py`` and the registry queries all build on it.
 """
 
 from __future__ import annotations
 
+import ray
 import ray.data
 
 from dug_ray.io import read_interleaved
 from dug_ray.stages.annotate import annotate_elements
-from dug_ray.stages.canonicalize import build_concepts
-from dug_ray.stages.expand import annotates_edges, expand_concepts
+from dug_ray.stages.expand import triples_partial
 from dug_ray.stages.link import link_mentions
-from dug_ray.stages.materialize import materialize_graph
+from dug_ray.stages.materialize import dedup_triples
 from dug_ray.stages.parse import parse_elements
 
 
-def linked_mentions_ds(sf_dir: str, stateless: bool = True, **kwargs) -> ray.data.Dataset:
-    """documents -> linked mentions.
+def linked(docs: ray.data.Dataset, parser, *, lexicon_ref=None,
+           preprocessor: dict[str, str] | None = None, **link_opts) -> ray.data.Dataset:
+    """spanified documents -> linked mentions: parse (``parser``, e.g.
+    ``parse_elements`` or a registry parser) -> NER -> link.
 
-    ``stateless=True`` (default) runs NER/link as elastic tasks whose state
-    is a per-worker-process singleton — measured faster than actor pools
-    here because pools re-spawn per execution (~50ms/task driver cost and
-    seconds of actor startup). Pass ``stateless=False`` to exercise the
-    actor-pool path (required when state must come from broadcast refs,
-    e.g. a real model checkpoint)."""
-    docs = read_interleaved(sf_dir)
-    elements = parse_elements(docs)
-    if stateless and not kwargs:
-        from dug_ray.stages.annotate import ner_batch
-        from dug_ray.stages.link import link_batch
-        mentions = elements.map_batches(ner_batch, batch_format="pyarrow", batch_size=None)
-        return mentions.map_batches(link_batch, batch_format="pyarrow", batch_size=None)
-    # any option (lexicon_ref, threshold, mention_filter, concurrency, ...)
-    # needs the actor path — silently dropping kwargs on the stateless path
-    # would run the default lexicon and return wrong results with no error.
-    # Split by stage signature: annotate_elements takes only pool shape +
-    # lexicon_ref; everything (incl. link-only keys like threshold /
-    # greenlist / mention_filter) goes to link_mentions, whose **actor_kwargs
-    # absorbs the linker options.
-    ann_kwargs = {k: v for k, v in kwargs.items()
-                  if k in ("concurrency", "batch_size", "lexicon_ref")}
-    mentions = annotate_elements(elements, **ann_kwargs)
-    return link_mentions(mentions, **kwargs)
+    ``lexicon_ref`` (a broadcast lexicon) feeds both stages, ``preprocessor``
+    the NER stage; ``link_opts`` (``threshold``, ``greenlist``,
+    ``mention_filter``) go to the linker."""
+    mentions = annotate_elements(parser(docs), lexicon_ref=lexicon_ref,
+                                 preprocessor=preprocessor)
+    return link_mentions(mentions, lexicon_ref=lexicon_ref, **link_opts)
 
 
-_LINKED_CACHE: dict[tuple, ray.data.Dataset] = {}
+def triples(docs: ray.data.Dataset, parser) -> ray.data.Dataset:
+    """spanified documents -> per-batch triples, before the dedup exchange."""
+    return triples_partial(linked(docs, parser))
 
 
-def _session_key() -> str:
-    """Current Ray job id: a cached MaterializedDataset's object refs die
-    with their session, so the cache key must change across
-    ray.shutdown()/ray.init() cycles in one Python process."""
-    import ray
-    try:
-        return ray.get_runtime_context().get_job_id()
-    except Exception:
-        return "-"
-
-
-def linked_mentions_cached(sf_dir: str) -> ray.data.Dataset:
-    """Materialized linked mentions, memoized for the session — SINGLE
-    slot: switching sf_dir evicts the previous entry so a long-lived
-    session never pins more than one corpus's mention table in the object
-    store (the table scales with the corpus, not the ontology).
-
-    The driver's correctness gate runs dozens of queries against one
-    sf_dir in one Ray session; the linked stream is their common prefix.
-    Materializing it once removes the repeated NER/link recompute.
-    Benchmarks build their own streams and never use this cache."""
-    key = (sf_dir, _session_key())
-    if key not in _LINKED_CACHE:
-        _LINKED_CACHE.clear()
-        _LINKED_CACHE[key] = linked_mentions_ds(sf_dir).materialize()
-    return _LINKED_CACHE[key]
-
-
-_TRIPLES_CACHE: dict = {}
-
-
-def kg_triples_cached(sf_dir: str) -> ray.data.Dataset:
-    """Materialized full triple set, memoized for the session — same
-    SINGLE-slot discipline as linked_mentions_cached.  Five registry
-    queries (kg_triples, cast_elements, triple_degrees, pagerank,
-    bfs_levels, label_spread) consume the same triple table; in the
-    driver's one-session correctness gate this removes four rebuilds of
-    the concepts+expansion+annotates chain."""
-    key = (sf_dir, _session_key())
-    if key not in _TRIPLES_CACHE:
-        _TRIPLES_CACHE.clear()
-        _TRIPLES_CACHE[key] = kg_triples(sf_dir).materialize()
-    return _TRIPLES_CACHE[key]
+def linked_mentions_ds(sf_dir: str, **opts) -> ray.data.Dataset:
+    """documents -> linked mentions (options as for ``linked``)."""
+    return linked(read_interleaved(sf_dir), parse_elements, **opts)
 
 
 def kg_triples(sf_dir: str) -> ray.data.Dataset:
-    """Full triple set: expansion triples U annotates edges.
-
-    ``linked`` feeds two branches (concepts + annotates edges); branching a
-    lazy Dataset re-executes the shared prefix per consumer, so the linked
-    mention stream is pinned once in the object store. At 100 TB the
-    resumable runner (state/manifest.py) instead checkpoints mentions to
-    parquet per input shard and reads them back — same single-pass property,
-    spill-friendly."""
-    linked = linked_mentions_cached(sf_dir)
-    concepts = build_concepts(linked)
-    expansion = expand_concepts(concepts)
-    annotates = annotates_edges(linked)
-    return expansion.union(annotates)
+    """Full triple set (expansion triples U annotates edges): the crawl's
+    chain and exchange without the write, as ``TRIPLE_SCHEMA`` strings."""
+    return dedup_triples(triples(read_interleaved(sf_dir), parse_elements))
 
 
-def run(sf_dir: str, out_dir: str | None = None,
-        resume: bool = False) -> ray.data.Dataset:
-    """One-shot crawl. ``resume=False`` (default): a reused out_dir is
-    CLEARED first — otherwise a completed manifest from a previous corpus
-    would skip every bucket and silently return the old run's triples.
-    Crash-resumable runs go through state.runner.run_resumable (or pass
-    resume=True knowingly, same input)."""
-    from dug_ray.stages.materialize import read_graph
-    triples = kg_triples(sf_dir)
-    if out_dir:
-        materialize_graph(triples, out_dir, resume=resume)
-        # read_graph globs part-*.parquet only — the directory also holds
-        # the manifest (+ possibly crash-orphaned tmp files)
-        return read_graph(out_dir)
-    return triples
+# Registry-side memo: an oracle check (selfcheck.py) runs dozens of queries
+# against one sf_dir in one Ray session, and the linked mentions / the
+# triple set are their common prefixes. One slot per kind: switching sf_dir
+# evicts the previous entry, so a long-lived session never pins more than
+# one corpus's tables in the object store. Product paths (crawl, index)
+# never use it.
+_CACHE: dict[str, tuple] = {}
+
+
+def _session_key() -> str:
+    """Current Ray node id: a cached MaterializedDataset's object refs die
+    with their session, so the key must change across
+    ray.shutdown()/ray.init() cycles in one Python process (the job id does
+    not: the first job of every new session is 01000000)."""
+    try:
+        return ray.get_runtime_context().get_node_id()
+    except Exception:  # noqa: BLE001 - no session
+        return "-"
+
+
+def _cached(kind: str, sf_dir: str, build) -> ray.data.Dataset:
+    key = (sf_dir, _session_key())
+    if _CACHE.get(kind, (None,))[0] != key:
+        _CACHE.pop(kind, None)  # free the old slot before building the new one
+        _CACHE[kind] = (key, build(sf_dir).materialize())
+    return _CACHE[kind][1]
+
+
+def linked_mentions_cached(sf_dir: str) -> ray.data.Dataset:
+    """Materialized ``linked_mentions_ds(sf_dir)``, memoized for the session."""
+    return _cached("linked", sf_dir, linked_mentions_ds)
+
+
+def kg_triples_cached(sf_dir: str) -> ray.data.Dataset:
+    """Materialized ``kg_triples(sf_dir)``, memoized for the session."""
+    return _cached("triples", sf_dir, kg_triples)

@@ -39,7 +39,7 @@ def register_mention_filter(name: str):
     given the text + candidate identifiers, keep a subset). A registered
     factory returns a callable ``DataFrame -> DataFrame`` that row-filters
     candidate mention rows (columns include term, curie, score, doc/element
-    ids); it runs inside the linker actor, constructed once per worker like
+    ids); it runs inside the linker task, constructed once per worker like
     the reference's per-session BagelWrapper. Default-off, matching the
     reference config (``config.py:53``)."""
     def deco(factory):
@@ -116,16 +116,14 @@ def load_entry_point_plugins(group: str = ENTRY_POINT_GROUP) -> int:
 
 
 def _register_defaults() -> None:
-    from dug_ray.stages.annotate import DictionaryNER, ner_batch
-    from dug_ray.stages.link import LinkNormalize, link_batch
+    from dug_ray.stages.annotate import ner_batch
+    from dug_ray.stages.link import link_batch
     from dug_ray.stages.parse import PARSER_BRANDS, parse_elements
 
     for brand in PARSER_BRANDS:
         _PARSERS[brand] = (lambda docs, b=brand: parse_elements(docs, data_type=b))
-    _ANNOTATORS["dictionary-ner"] = DictionaryNER
-    _ANNOTATORS["dictionary-ner-stateless"] = ner_batch
-    _ANNOTATORS["link-normalize"] = LinkNormalize
-    _ANNOTATORS["link-normalize-stateless"] = link_batch
+    _ANNOTATORS["dictionary-ner"] = ner_batch
+    _ANNOTATORS["link-normalize"] = link_batch
 
 
 _register_defaults()

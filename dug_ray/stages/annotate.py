@@ -1,7 +1,7 @@
-"""NER annotation stage: elements -> candidate mentions (actor pool).
+"""NER annotation stage: elements -> candidate mentions.
 
 Re-expresses dug's Monarch/SapBERT annotation chain (SURVEY.md §2.2 M2-M6)
-as a stateful ``map_batches`` actor:
+as one stateful ``map_batches`` task, ``ner_batch``:
 
 - text preprocessing / debreviator (``monarch_annotator.py:155-172``,
   default dict ``config.py:35-40``) — substring replacement applied with
@@ -15,14 +15,17 @@ as a stateful ``map_batches`` actor:
   ``sapbert_annotator.py:233-320``); the >= 0.8 threshold filter is applied
   downstream in stages/link.py.
 
-Scale notes: the lexicon is actor state built ONCE in ``__init__`` (per the
-actor-pool rule; at cluster scale it arrives via ``ray.put`` broadcast — the
-constructor accepts an object ref). The batch body is vectorized: pyarrow
+Scale notes: the lexicon is per-worker-process state (``DictionaryNER``),
+built ONCE per process and stage options and reused by every later task in
+that process; at cluster scale it arrives via ``ray.put`` broadcast (the
+``lexicon_ref`` option). The batch body is vectorized: pyarrow
 ``split_pattern`` + flat token explode + one pandas hash-merge against the
 lexicon; no per-row Python loop.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pandas as pd
@@ -52,11 +55,12 @@ def preprocess_text(col: pa.ChunkedArray | pa.Array, replacements: dict[str, str
 
 
 class DictionaryNER:
-    """Actor-pool NER stage: ``map_batches(DictionaryNER, concurrency=N)``.
+    """State of the NER stage; ``ner_batch`` holds one per worker process.
 
     ``lexicon_ref`` may be a ``ray.ObjectRef`` to a broadcast lexicon
     DataFrame (the 100 TB pattern: ``ray.put`` once on the driver, fetched
-    once per actor), else the module-level synthetic lexicon is used.
+    once per worker process), else the module-level synthetic lexicon is
+    used.
 
     CONTRACT: ``tok_pos`` is the 1-based global position in the
     POST-preprocessor tokenization. With the identity default preprocessor
@@ -121,46 +125,25 @@ class DictionaryNER:
         })
 
 
-_NER_SINGLETON: DictionaryNER | None = None
+#: per-process stage state, one per (hashable) option tuple
+_ner = functools.lru_cache(maxsize=8)(DictionaryNER)
 
 
-def ner_batch(batch: pa.Table) -> pa.Table:
-    """Stateless-task form of the NER stage: state is a per-worker-process
-    singleton (worker processes are reused across tasks, so the lexicon is
-    built once per process — same amortization as an actor, but elastic
-    task scheduling and no pool spin-up per execution). Use the actor-pool
-    form when the state must come from a broadcast object ref."""
-    global _NER_SINGLETON
-    if _NER_SINGLETON is None:
-        _NER_SINGLETON = DictionaryNER()
-    return _NER_SINGLETON(batch)
+def ner_batch(batch: pa.Table, *, lexicon_ref=None,
+              preprocessor: dict[str, str] | None = None) -> pa.Table:
+    """The NER stage as a task: ``map_batches(ner_batch, fn_kwargs=...)``.
+
+    Its state is memoized per worker process and per options (worker
+    processes are reused across tasks, so the lexicon is built once per
+    process — the amortization of an actor, with elastic task scheduling
+    and no pool spin-up per execution)."""
+    items = None if preprocessor is None else tuple(preprocessor.items())
+    return _ner(lexicon_ref, items)(batch)
 
 
-def default_pool_size(frac: float = 1.0) -> int:
-    """Fixed actor-pool size as a fraction of cluster CPUs.
-
-    Fixed (not autoscaling (1, N)): the streaming executor ramps autoscaled
-    pools on backlog *gradually*, which leaves most cores idle for the first
-    tens of seconds — measured <40% utilization on short jobs. All actors
-    start up front; ``frac`` splits the node between pools that run
-    concurrently in one pipeline."""
-    try:
-        ncpu = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:  # noqa: BLE001 - before init, fall back
-        ncpu = 8
-    # floor of 1, not 2: on tiny clusters two pools flooring at 2 would
-    # reserve every CPU and starve the read/write tasks (observed deadlock
-    # at num_cpus=4)
-    return max(1, int(ncpu * frac))
-
-
-def annotate_elements(elements: ray.data.Dataset, *, concurrency: int | tuple | None = None,
-                      batch_size: int | None = None, lexicon_ref=None) -> ray.data.Dataset:
-    """elements -> candidate mentions via the NER actor pool."""
+def annotate_elements(elements: ray.data.Dataset, *, lexicon_ref=None,
+                      preprocessor: dict[str, str] | None = None) -> ray.data.Dataset:
+    """elements -> candidate mentions."""
     return elements.map_batches(
-        DictionaryNER,
-        fn_constructor_kwargs={"lexicon_ref": lexicon_ref},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency or default_pool_size(0.6),
-    )
+        ner_batch, fn_kwargs={"lexicon_ref": lexicon_ref, "preprocessor": preprocessor},
+        batch_format="pyarrow", batch_size=None)

@@ -11,17 +11,18 @@ remote TranQL service (``/root/reference/src/dug/core/concept_expander.py:
 - **redlist anti-join** (M17, ``crawler.py:183-185`` +
   ``config.py:92``): excluded identifiers are never expanded — a broadcast
   anti filter;
-- **expansion join** (J5): concepts x ontology_edges on the canonical
-  CURIE. The edges table here is small -> broadcast merge inside
-  ``map_batches`` over the streaming concepts Dataset; at full KG scale
-  (edges >> memory) this becomes a hash-partitioned shuffle join on
-  ``subj`` — same key as the final sort, so the partitioning is reused;
+- **expansion join** (J5): canonical CURIEs x ontology_edges. The edges
+  table here is small -> one per-batch lookup (``expansion_edges``) over
+  the per-process cached valid-edge table, shared by ``triples_partial``
+  and ``expand_concepts``; at full KG scale (edges >> memory) this becomes
+  a hash-partitioned shuffle join on ``subj`` — same key as the final
+  sort, so the partitioning is reused;
 - **annotates edges**: one ``dug:annotates`` triple per distinct
   (concept, element) pair — dug's concept->element membership
   (``crawler.py:128-142``, the searchable-dict ``concepts`` field). This is
-  the *large* side (O(mentions)), produced by a vectorized per-batch
-  distinct + a final groupby dedup (exact dedup via hash partition, A6
-  semantics);
+  the *large* side (O(mentions)): ``triples_partial`` emits it per batch
+  after a per-batch distinct, and the subject-bucket exchange
+  (stages/materialize.py) makes it exact;
 - **node->element casting** (M19, ``crawler.py:203-276``,
   ``config.py:106-125``): expansion objects whose category matches a
   casting config (here ``biolink:Publication`` with ``HEALCDE:`` prefix)
@@ -32,10 +33,10 @@ Triple row: ``subj, pred, obj, obj_name, source_query``.
 
 from __future__ import annotations
 
+import functools
+
 import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
-import ray
 import ray.data
 
 from dug_ray import ontology
@@ -49,11 +50,13 @@ TRIPLE_SCHEMA = pa.schema([
 ])
 
 
+@functools.lru_cache(maxsize=1)
 def _valid_edges() -> pd.DataFrame:
-    """Edge table pre-filtered by subject-prefix validity + redlist.
+    """Edge table pre-filtered by subject-prefix validity + redlist, built
+    once per process.
 
     Both filters depend only on the edge row, so they are applied once to
-    the small side before broadcast (cheaper than per-batch)."""
+    the small side instead of per batch."""
     e = ontology.edges_df()
     prefix = e["subj"].str.partition(":")[0]
     allowed = pd.Series(
@@ -63,48 +66,37 @@ def _valid_edges() -> pd.DataFrame:
     return e.reset_index(drop=True)
 
 
-import functools
+def expansion_edges(subjects) -> pd.DataFrame:
+    """The expansion join for one batch: valid ontology edges whose
+    subject is one of ``subjects`` (distinct canonical CURIEs)."""
+    edges = _valid_edges()
+    return edges[edges["subj"].isin(subjects)]
 
 
-@functools.lru_cache(maxsize=1)
-def _valid_edges_cached() -> pd.DataFrame:
-    return _valid_edges()
+def expand_concepts(concepts: ray.data.Dataset) -> ray.data.Dataset:
+    """concepts -> expansion triples (join on the canonical CURIE)."""
+
+    def expand(batch: pa.Table) -> pa.Table:
+        hit = expansion_edges(set(batch["concept_id"].to_pylist()))
+        return pa.Table.from_pandas(hit[TRIPLE_SCHEMA.names],
+                                    preserve_index=False).cast(TRIPLE_SCHEMA)
+
+    return concepts.map_batches(expand, batch_format="pyarrow", batch_size=None)
 
 
-def expand_concepts(concepts: ray.data.Dataset, edges_ref=None) -> ray.data.Dataset:
-    """concepts -> expansion triples (broadcast join on canonical CURIE)."""
-
-    class Expander:
-        def __init__(self):
-            self.edges = ray.get(edges_ref) if edges_ref is not None else _valid_edges()
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            df = batch.to_pandas()[["concept_id"]]
-            hit = df.merge(self.edges, left_on="concept_id", right_on="subj",
-                           how="inner", sort=False)
-            out = hit[["subj", "pred", "obj", "obj_name", "source_query"]]
-            return pa.Table.from_pandas(out, preserve_index=False).cast(TRIPLE_SCHEMA)
-
-    return concepts.map_batches(Expander, batch_format="pyarrow", concurrency=(1, 2))
-
-
-def triples_partial(linked: ray.data.Dataset, edges_ref=None) -> ray.data.Dataset:
+def triples_partial(linked: ray.data.Dataset) -> ray.data.Dataset:
     """One-pass combiner: linked mentions -> (annotates pairs U expansion
     triples), emitted per batch in a single stage.
 
     This keeps the headline pipeline a SINGLE streaming pass — no
     ``materialize()`` of the mention table and no branch re-execution; the
-    only exchange left is the salted subject-bucket groupby of
-    ``materialize_graph(dedup=True)``, where cross-batch duplicates are
-    exactly deduped. Projects to the two needed columns before building
-    triples; low-cardinality columns are dictionary-encoded (shuffle moves
-    codes, not repeated strings)."""
+    only exchange left is the salted subject-bucket groupby
+    (``materialize.dedup_triples`` / ``materialize_graph``), where
+    cross-batch duplicates are exactly deduped. Projects to the two needed
+    columns before building triples; low-cardinality columns are
+    dictionary-encoded (shuffle moves codes, not repeated strings)."""
 
     def emit(batch: pa.Table) -> pa.Table:
-        # stateless task (elastic); the edge table is tiny here and cached
-        # per worker process — at real KG scale this becomes an actor pool
-        # holding the broadcast edge table (edges_ref)
-        edges = ray.get(edges_ref) if edges_ref is not None else _valid_edges_cached()
         df = batch.select(["canonical_curie", "element_id"]).to_pandas().drop_duplicates()
         n = len(df)
         ann = pa.table({
@@ -114,8 +106,7 @@ def triples_partial(linked: ray.data.Dataset, edges_ref=None) -> ray.data.Datase
             "obj_name": pa.nulls(n, pa.string()).fill_null("").dictionary_encode(),
             "source_query": pa.nulls(n, pa.string()).fill_null("annotation").dictionary_encode(),
         })
-        uniq = set(df["canonical_curie"].unique())
-        hit = edges[edges["subj"].isin(uniq)]
+        hit = expansion_edges(set(df["canonical_curie"].unique()))
         exp = pa.table({
             "subj": pa.array(hit["subj"], type=pa.string()).dictionary_encode(),
             "pred": pa.array(hit["pred"], type=pa.string()).dictionary_encode(),
@@ -126,30 +117,6 @@ def triples_partial(linked: ray.data.Dataset, edges_ref=None) -> ray.data.Datase
         return pa.concat_tables([exp, ann], promote_options="default")
 
     return linked.map_batches(emit, batch_format="pyarrow", batch_size=None)
-
-
-def annotates_edges(linked: ray.data.Dataset) -> ray.data.Dataset:
-    """linked mentions -> distinct (concept, 'dug:annotates', element) triples.
-
-    Vectorized per-batch distinct (the combiner — same concept mentioned
-    many times in one element collapses before any data moves), then an
-    exact bucketed dedup (shuffle forms O(num_buckets) groups, not
-    O(#elements); see dug_ray.shuffle)."""
-    from dug_ray.shuffle import distinct_rows
-
-    pairs = distinct_rows(linked, ["element_id", "canonical_curie"], num_buckets=32)
-
-    def to_triples(batch: pa.Table) -> pa.Table:
-        n = len(batch)
-        return pa.table({
-            "subj": pc.cast(batch["canonical_curie"], pa.string()),
-            "pred": pa.nulls(n, pa.string()).fill_null("dug:annotates"),
-            "obj": pc.cast(batch["element_id"], pa.string()),
-            "obj_name": pa.nulls(n, pa.string()).fill_null(""),
-            "source_query": pa.nulls(n, pa.string()).fill_null("annotation"),
-        })
-
-    return pairs.map_batches(to_triples, batch_format="pyarrow", batch_size=None)
 
 
 def cast_elements_from_triples(triples: ray.data.Dataset,

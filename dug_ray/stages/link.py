@@ -1,7 +1,8 @@
 """Linker + normalization stage: candidate mentions -> linked mentions.
 
 Re-expresses dug's score-threshold + node-normalizer + synonym + PURL chain
-(SURVEY.md §2.2 M6, M8-M11, §2.4 J3-J4) as one actor-pool ``map_batches``:
+(SURVEY.md §2.2 M6, M8-M11, §2.4 J3-J4) as one stateful ``map_batches``
+task, ``link_batch``:
 
 - score threshold ``score >= 0.8`` (``sapbert_annotator.py:310-319``,
   config ``preprocessor`` direction flag ``config.py:48-51``) — a vectorized
@@ -19,14 +20,17 @@ Re-expresses dug's score-threshold + node-normalizer + synonym + PURL chain
 - PURL attach (M11, ``biolink_purl_util.py:165-174``): static prefix map.
 
 The three lookup tables are tiny versus the mention stream, so they are
-broadcast (object-store refs fetched once per actor in ``__init__``) and
-joined with an in-memory pandas hash merge per batch — never a shuffle.
+resolved once per worker process and stage options into one composite table
+(``LinkNormalize``) and joined with an in-memory pandas hash merge per batch
+— never a shuffle.
 At 10^12-doc scale this is exactly the "broadcast small side" join pattern;
 only if the normalizer map itself outgrew worker memory would this become a
 hash-partitioned shuffle join.
 """
 
 from __future__ import annotations
+
+import functools
 
 import pandas as pd
 import pyarrow as pa
@@ -51,15 +55,15 @@ def _synonyms_joined() -> pd.DataFrame:
 
 
 class LinkNormalize:
-    """Actor-pool linker/normalizer: ``map_batches(LinkNormalize, ...)``."""
+    """State of the linker stage; ``link_batch`` holds one per worker
+    process and stage options."""
 
-    def __init__(self, normalizer_ref=None, synonyms_ref=None,
-                 lexicon_ref=None,
+    def __init__(self, lexicon_ref=None,
                  threshold: float = ontology.LINKER_SCORE_THRESHOLD,
                  greenlist: list[str] | None = None,
-                 mention_filter: str | None = None):
+                 mention_filter=None):
         # M7 hook: optional candidate filter (the bagel LLM slot,
-        # sapbert_annotator.py:16-52) — constructed once per actor,
+        # sapbert_annotator.py:16-52) — constructed once per worker process,
         # default-off like the reference config. Accepts a factory callable
         # (shipped pickled from the driver — see link_mentions, which
         # resolves registry names there; this process's registry only has
@@ -71,8 +75,8 @@ class LinkNormalize:
         else:
             from dug_ray.registry import get_mention_filter
             self.mention_filter = get_mention_filter(mention_filter)()
-        norm = ray.get(normalizer_ref) if normalizer_ref is not None else ontology.normalizer_df()
-        synonyms = ray.get(synonyms_ref) if synonyms_ref is not None else _synonyms_joined()
+        norm = ontology.normalizer_df()
+        synonyms = _synonyms_joined()
         self.threshold = threshold
         greenset = set(ontology.ONTOLOGY_GREENLIST if greenlist is None else greenlist)
         # The whole normalize+rescue+synonym+purl chain is a static function
@@ -126,34 +130,35 @@ class LinkNormalize:
         ]))
 
 
-_LINK_SINGLETON: LinkNormalize | None = None
+#: per-process stage state, one per (hashable) option tuple
+_linker = functools.lru_cache(maxsize=8)(LinkNormalize)
 
 
-def link_batch(batch: pa.Table) -> pa.Table:
-    """Stateless-task form of the linker (see annotate.ner_batch)."""
-    global _LINK_SINGLETON
-    if _LINK_SINGLETON is None:
-        _LINK_SINGLETON = LinkNormalize()
-    return _LINK_SINGLETON(batch)
+def link_batch(batch: pa.Table, *, lexicon_ref=None,
+               threshold: float = ontology.LINKER_SCORE_THRESHOLD,
+               greenlist: list[str] | None = None, mention_filter=None) -> pa.Table:
+    """The linker as a task: ``map_batches(link_batch, fn_kwargs=...)``; its
+    state is memoized per worker process and options (see
+    annotate.ner_batch)."""
+    green = None if greenlist is None else tuple(greenlist)
+    return _linker(lexicon_ref, threshold, green, mention_filter)(batch)
 
 
-def link_mentions(mentions: ray.data.Dataset, *, concurrency: int | tuple | None = None,
-                  batch_size: int | None = None, **actor_kwargs) -> ray.data.Dataset:
+def link_mentions(mentions: ray.data.Dataset, *, lexicon_ref=None,
+                  threshold: float = ontology.LINKER_SCORE_THRESHOLD,
+                  greenlist: list[str] | None = None,
+                  mention_filter=None) -> ray.data.Dataset:
     """candidate mentions -> linked (canonicalized) mentions.
 
     A ``mention_filter`` given by registry NAME is resolved to its factory
     HERE (driver-side, where the user registered it) and shipped to the
-    actors pickled — worker processes never replay in-process
+    workers pickled — worker processes never replay in-process
     registrations."""
-    from dug_ray.stages.annotate import default_pool_size
-    if isinstance(actor_kwargs.get("mention_filter"), str):
+    if isinstance(mention_filter, str):
         from dug_ray.registry import get_mention_filter
-        actor_kwargs["mention_filter"] = get_mention_filter(
-            actor_kwargs["mention_filter"])
+        mention_filter = get_mention_filter(mention_filter)
     return mentions.map_batches(
-        LinkNormalize,
-        fn_constructor_kwargs=actor_kwargs,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency or default_pool_size(0.35),
-    )
+        link_batch,
+        fn_kwargs={"lexicon_ref": lexicon_ref, "threshold": threshold,
+                   "greenlist": greenlist, "mention_filter": mention_filter},
+        batch_format="pyarrow", batch_size=None)

@@ -13,9 +13,16 @@ from __future__ import annotations
 
 import os
 
+import pandas as pd
 import pyarrow as pa
 import ray
 import ray.data
+
+from dug_ray.stages.expand import TRIPLE_SCHEMA
+
+#: default table layout: subject buckets x hot-key salt partitions
+NUM_BUCKETS = 64
+SALT = 8
 
 
 def add_subj_bucket(triples: ray.data.Dataset, num_buckets: int = 16,
@@ -42,9 +49,35 @@ def add_subj_bucket(triples: ray.data.Dataset, num_buckets: int = 16,
     return triples.map_batches(_bucket, batch_format="pyarrow", batch_size=None)
 
 
+def dedup_partition(df: pd.DataFrame) -> pd.DataFrame:
+    """One salted subject partition: exact dedup + (subj, pred, obj) sort,
+    ``subj_bucket`` dropped."""
+    df = df.drop(columns=["subj_bucket"])
+    # dictionary-encoded shuffle columns arrive as pandas categoricals
+    # whose sort order is insertion order — re-type for a true
+    # lexicographic (subj, pred, obj) sort
+    for c in df.columns:
+        if isinstance(df[c].dtype, pd.CategoricalDtype):
+            df[c] = df[c].astype(object)
+    df = df.drop_duplicates(subset=["subj", "pred", "obj"])
+    return df.sort_values(["subj", "pred", "obj"], kind="mergesort")
+
+
+def dedup_triples(triples: ray.data.Dataset) -> ray.data.Dataset:
+    """The exchange of ``materialize_graph`` without the write: the salted
+    subject-bucket groupby (default layout) with the same per-partition
+    dedup, as plain ``TRIPLE_SCHEMA`` string columns."""
+
+    def per_group(df: pd.DataFrame) -> pa.Table:
+        return pa.Table.from_pandas(dedup_partition(df), preserve_index=False).cast(TRIPLE_SCHEMA)
+
+    return (add_subj_bucket(triples, NUM_BUCKETS, salt=SALT)
+            .groupby("subj_bucket").map_groups(per_group, batch_format="pandas"))
+
+
 def materialize_graph(triples: ray.data.Dataset, out_dir: str,
-                      num_buckets: int = 64, dedup: bool = True,
-                      resume: bool = True, salt: int = 8) -> str:
+                      num_buckets: int = NUM_BUCKETS, resume: bool = True,
+                      salt: int = SALT) -> str:
     """Subject-partitioned, within-partition-sorted triple table.
 
     One ``groupby(subj_bucket)`` exchange through the (shm-backed) object
@@ -63,8 +96,6 @@ def materialize_graph(triples: ray.data.Dataset, out_dir: str,
     not needed: the serving contract (north star) is "partitioned by
     canonical subject, sorted" — readers prune to a subject's bucket and
     merge its ``salt`` sorted files."""
-    import pandas as pd
-
     from dug_ray.state.manifest import PartitionManifest, atomic_write_parquet
 
     os.makedirs(out_dir, exist_ok=True)
@@ -101,16 +132,7 @@ def materialize_graph(triples: ray.data.Dataset, out_dir: str,
         import time
         t0 = time.time()
         b = int(df["subj_bucket"].iloc[0])
-        df = df.drop(columns=["subj_bucket"])
-        # dictionary-encoded shuffle columns arrive as pandas categoricals
-        # whose sort order is insertion order — re-type for a true
-        # lexicographic (subj, pred, obj) sort
-        for c in df.columns:
-            if isinstance(df[c].dtype, pd.CategoricalDtype):
-                df[c] = df[c].astype(object)
-        if dedup:
-            df = df.drop_duplicates(subset=["subj", "pred", "obj"])
-        df = df.sort_values(["subj", "pred", "obj"], kind="mergesort")
+        df = dedup_partition(df)
         final = os.path.join(out_dir, f"part-{b:05d}.parquet")
         # side-effect write is idempotent: tmp-file + rename; a task retry
         # simply replaces the file with identical content
@@ -149,15 +171,14 @@ def read_graph(out_dir: str) -> ray.data.Dataset:
     import glob
     parts = sorted(glob.glob(os.path.join(out_dir, "part-*.parquet")))
     if not parts:
-        import pandas as pd
         return ray.data.from_pandas(pd.DataFrame({
             c: pd.Series([], dtype="object")
             for c in ("subj", "pred", "obj", "obj_name", "source_query")}))
     return ray.data.read_parquet(parts)
 
 
-def subject_lookup(out_dir: str, subj: str, num_buckets: int = 64,
-                   salt: int = 8):
+def subject_lookup(out_dir: str, subj: str, num_buckets: int = NUM_BUCKETS,
+                   salt: int = SALT):
     """Serving-path point lookup: prune to the subject's ``salt`` partition
     files (the north-star read contract — a reader never scans the table).
     Returns a pyarrow Table of the subject's triples in (pred, obj) order."""

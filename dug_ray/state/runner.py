@@ -30,7 +30,8 @@ import pyarrow.compute as pc
 import ray.data
 
 from dug_ray.io import read_documents, spanify
-from dug_ray.stages.expand import TRIPLE_SCHEMA, triples_partial
+from dug_ray.pipelines import kg
+from dug_ray.stages.expand import TRIPLE_SCHEMA
 from dug_ray.stages.materialize import materialize_graph, read_graph
 from dug_ray.stages.parse import parse_elements
 from dug_ray.state.manifest import PartitionManifest
@@ -75,14 +76,8 @@ def _write_shard(ds: ray.data.Dataset, final_dir: str) -> tuple[int, str]:
 
 def _shard_triples(sf_dir: str, shard: int, num_shards: int,
                    parser=None) -> ray.data.Dataset:
-    from dug_ray.stages.annotate import ner_batch
-    from dug_ray.stages.link import link_batch
     docs = spanify(_shard_docs(sf_dir, shard, num_shards))
-    elements = (parser or parse_elements)(docs)
-    linked = (elements
-              .map_batches(ner_batch, batch_format="pyarrow", batch_size=None)
-              .map_batches(link_batch, batch_format="pyarrow", batch_size=None))
-    return triples_partial(linked)
+    return kg.triples(docs, parser or parse_elements)
 
 
 def run_resumable(sf_dir: str, out_dir: str, num_shards: int = 8,
@@ -152,7 +147,7 @@ def run_resumable(sf_dir: str, out_dir: str, num_shards: int = 8,
     for s in range(num_shards):
         d = os.path.join(stage1_dir, f"shard-{s:05d}.parquet")
         paths.extend(sorted(glob.glob(os.path.join(d, "*.parquet"))))
-    materialize_graph(ray.data.read_parquet(paths), out_dir, dedup=True)
+    materialize_graph(ray.data.read_parquet(paths), out_dir)
     return out_dir
 
 

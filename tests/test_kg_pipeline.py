@@ -5,6 +5,10 @@ test_crawler.py:23-101``): annotate -> concepts built -> expansion triples,
 with exact-set equality instead of the P/R bound (the bound is for the
 10^12-doc run; at test scale we demand equality)."""
 
+import os
+import subprocess
+import sys
+
 import pandas as pd
 import pyarrow.parquet as pq
 import pytest
@@ -149,17 +153,6 @@ def test_preprocess_debreviator():
     assert hits.column("curie").to_pylist() == ["MESH:D001"]
 
 
-def test_actor_pool_path_equivalent(sf_smoke, linked_df):
-    """The actor-pool stage form (broadcast-ref state) produces the same
-    linked mentions as the stateless default."""
-    pooled = kg.linked_mentions_ds(sf_smoke, stateless=False,
-                                   concurrency=1).to_pandas()
-    key = ["element_id", "tok_pos", "curie"]
-    a = pooled[key].sort_values(key).reset_index(drop=True)
-    b = linked_df[key].sort_values(key).reset_index(drop=True)
-    pd.testing.assert_frame_equal(a, b)
-
-
 def test_kg_answers_oracle(sf_smoke, oracle):
     """A6/M18 answer dedup vs the python oracle's expansion set."""
     from dug_ray import queries
@@ -218,3 +211,77 @@ def test_custom_lexicon_flows_through_linker():
     assert len(zeb) == 1
     assert zeb.iloc[0]["canonical_curie"] == "MESH:D015027"
     assert zeb.iloc[0]["name"] == "Zebrafish"
+
+
+def test_custom_lexicon_through_linked_mentions_ds(sf_smoke):
+    """Stage options travel as fn_kwargs of the one task form: a broadcast
+    lexicon that maps a corpus word to a new greenlisted CURIE yields that
+    CURIE, once per occurrence of the word, at the Dataset level."""
+    import ray
+
+    custom = pd.concat([ontology.lexicon_df(), pd.DataFrame([{
+        "term": "column", "curie": "UBERON:9999999", "label": "column organ",
+        "category": "biolink:AnatomicalEntity", "score": 0.9}])],
+        ignore_index=True)
+    ref = ray.put(custom)
+    linked = kg.linked_mentions_ds(sf_smoke, lexicon_ref=ref).to_pandas()
+    hits = linked[linked["curie"] == "UBERON:9999999"]
+    raw = pq.read_table(f"{sf_smoke}/documents.parquet").to_pandas()
+    n_column = sum(t.split(" ").count("column") for t in raw["text"])
+    assert n_column > 0
+    assert len(hits) == n_column
+    assert (hits["canonical_curie"] == "UBERON:9999999").all()
+    assert (hits["name"] == "column organ").all()
+
+
+@pytest.mark.parametrize("corpus", ["sf0.001", "sf0.01"])
+def test_crawl_equals_kg_triples(corpus, sf_smoke, tmp_path):
+    """One KG path: the crawl's part files hold exactly the rows of
+    kg_triples, which has TRIPLE_SCHEMA's plain string columns."""
+    import argparse
+    import glob
+
+    import pyarrow as pa
+
+    from dug_ray import cli
+    from dug_ray.stages.expand import TRIPLE_SCHEMA
+
+    sf_dir = os.path.join(os.path.dirname(sf_smoke), corpus)
+    out = str(tmp_path / "kg")
+    cli.cmd_crawl(argparse.Namespace(num_cpus=None, sf_dir=sf_dir, out=out,
+                                     parser="dbgap", resumable=False))
+    crawled = pa.concat_tables(
+        [pq.read_table(f) for f in sorted(glob.glob(f"{out}/part-*.parquet"))]).to_pandas()
+    ds = kg.kg_triples(sf_dir)
+    assert ds.schema().base_schema.remove_metadata() == TRIPLE_SCHEMA
+    got = ds.to_pandas()
+    assert (got.dtypes == object).all()
+    cols = TRIPLE_SCHEMA.names
+    a = crawled[cols].sort_values(cols).reset_index(drop=True)
+    b = got[cols].sort_values(cols).reset_index(drop=True)
+    pd.testing.assert_frame_equal(a, b)
+
+
+def test_export_in_second_ray_session(sf_smoke, tmp_path):
+    """``dug_ray index`` and the registry memo work in a later Ray session
+    of the same process. Runs in a subprocess: the suite owns one session."""
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    script = f"""
+import ray
+from ray.data import DataContext
+from dug_ray import queries
+from dug_ray.pipelines.export import export_searchable
+for i in range(2):
+    ray.init(address="local", num_cpus=2, include_dashboard=False,
+             logging_level="ERROR", object_store_memory=200 * 2**20)
+    DataContext.get_current().enable_progress_bars = False
+    counts = export_searchable({sf_smoke!r}, {str(tmp_path)!r} + f"/idx{{i}}")
+    n = queries.q_linked_mentions({sf_smoke!r}).count()
+    print("RESULT", sorted(counts.items()), n, flush=True)
+    ray.shutdown()
+"""
+    p = subprocess.run([sys.executable, "-c", script], cwd=repo, capture_output=True,
+                       text=True, timeout=600)
+    assert p.returncode == 0, p.stderr[-2000:]
+    results = [ln for ln in p.stdout.splitlines() if ln.startswith("RESULT")]
+    assert len(results) == 2 and results[0] == results[1]
