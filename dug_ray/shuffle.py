@@ -1,4 +1,5 @@
-"""Shuffle helpers: deterministic bucketing + bucketed grouped apply.
+"""Shuffle helpers: deterministic bucketing, bucketed grouped apply and
+the sorted-distinct set kernel.
 
 ``Dataset.groupby(key).map_groups(fn)`` invokes ``fn`` once per *group*; at
 10^5-10^9 distinct keys the per-group Python call dominates wall time. The
@@ -9,14 +10,26 @@ scalable shape used throughout this engine is **bucketed grouped apply**:
    required for resume);
 2. ``groupby('_bucket')`` — the shuffle now moves the same rows but forms
    only ``num_buckets`` groups;
-3. inside each bucket, run a *vectorized* pandas ``groupby`` over the whole
-   bucket at C speed.
+3. inside each bucket, ``fn`` groups the whole bucket by the real key in
+   one whole-table pass: a pandas ``groupby`` with built-in aggregations
+   (``bucketed_group_apply``) or Arrow compute kernels
+   (``bucketed_table_apply``). Either way Python runs once per bucket,
+   never once per key.
 
 Every row of a key lands in exactly one bucket, so per-key results are exact.
 ``num_buckets`` bounds per-task memory to ~``n/num_buckets`` rows — size it
 to the cluster (hundreds-thousands at 100 TB). Hot-key skew inside a bucket
 is handled upstream by per-batch partial aggregation (the combiner), which
 collapses hot keys before the shuffle (SURVEY.md §4 skew row).
+
+Sorted-distinct ``|``-joined string sets (the searchable dict's
+``search_terms``, ``concepts``, ``identifiers``, answer node lists) are one
+Arrow kernel, ``join_distinct``: sort by keys and value, drop adjacent
+duplicates, cut list offsets at key boundaries, ``binary_join``. A pandas
+``agg`` with a Python set-join callable would call Python once per group;
+this kernel calls it once per table. ``split_joined`` is its inverse, and
+``union_joined`` merges partial sets that crossed an exchange as joined
+strings.
 """
 
 from __future__ import annotations
@@ -108,6 +121,96 @@ def bucketed_group_apply(
 
     bucketed = add_bucket(ds, key, num_buckets)
     return bucketed.groupby(BUCKET_COL).map_groups(per_bucket, batch_format="pandas")
+
+
+def bucketed_table_apply(
+    ds: ray.data.Dataset,
+    key: str | list[str],
+    fn: Callable[[pa.Table], pa.Table],
+    num_buckets: int = 64,
+) -> ray.data.Dataset:
+    """``bucketed_group_apply`` for a whole-bucket Arrow transform ``fn``.
+
+    Ray builds each output block by concatenating the per-bucket tables
+    without combining their chunks, and ``write_parquet`` (pyarrow
+    ``write_dataset`` with no minimum row-group size) writes every chunk
+    as its own row group. Combining the chunks here, in the same fused
+    task, keeps one row group per written block, as with pandas blocks."""
+
+    def per_bucket(group: pa.Table) -> pa.Table:
+        return fn(group.drop_columns([BUCKET_COL]))
+
+    bucketed = add_bucket(ds, key, num_buckets)
+    out = bucketed.groupby(BUCKET_COL).map_groups(per_bucket, batch_format="pyarrow")
+    return out.map_batches(lambda t: t.combine_chunks(), batch_format="pyarrow",
+                           batch_size=None)
+
+
+def _decoded(col: pa.ChunkedArray | pa.Array) -> pa.Array:
+    col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    return col.dictionary_decode() if pa.types.is_dictionary(col.type) else col
+
+
+def _starts(col: pa.Array) -> np.ndarray:
+    """Boolean mask: row i differs from row i-1 (row 0 always True; two
+    nulls are equal, a null and a value are not)."""
+    a, b = col.slice(1), col.slice(0, len(col) - 1)
+    ne = pc.or_kleene(pc.not_equal(a, b), pc.xor(pc.is_null(a), pc.is_null(b)))
+    return np.concatenate(
+        [[True], pc.fill_null(ne, False).to_numpy(zero_copy_only=False)])
+
+
+def join_distinct(table: pa.Table, keys: list[str], value: str) -> pa.Table:
+    """``SELECT keys, string_agg(DISTINCT value, '|' ORDER BY value) ...
+    GROUP BY keys ORDER BY keys`` in Arrow compute, with no Python per group.
+
+    One row per distinct key tuple of ``table`` (nulls sort last and form
+    one group), in ascending key order; columns ``keys + [value]``. Null
+    values are skipped; a key whose values are all null gets ``''``.
+    Strings order by UTF-8 bytes — the order of DuckDB's ``string_agg(...
+    ORDER BY ...)`` and of Python's ``sorted`` on ``str``. Two calls on the
+    same table therefore return the same key column, row for row."""
+    cols = [*keys, value]
+    arrs = {c: _decoded(table[c]) for c in cols}
+    n = len(arrs[value])
+    if n == 0:
+        return pa.table({**{k: arrs[k] for k in keys},
+                         value: pa.array([], type=pa.string())})
+    order = pc.sort_indices(pa.table(arrs), null_placement="at_end",
+                            sort_keys=[(c, "ascending") for c in cols])
+    arrs = {c: a.take(order) for c, a in arrs.items()}
+    new_key = np.logical_or.reduce([_starts(arrs[k]) for k in keys])
+    vals = arrs[value]
+    keep = (new_key | _starts(vals)) & pc.is_valid(vals).to_numpy(zero_copy_only=False)
+    first = pa.array(np.flatnonzero(new_key))
+    kept_before = np.concatenate([[0], np.cumsum(keep)])
+    offsets = pa.array(kept_before[np.append(first, n)], type=pa.int32())
+    sets = pa.ListArray.from_arrays(offsets, vals.filter(pa.array(keep)))
+    out = {k: arrs[k].take(first) for k in keys}
+    out[value] = pc.binary_join(sets, "|")
+    return pa.table(out)
+
+
+def split_joined(table: pa.Table, keys: list[str], value: str) -> pa.Table:
+    """Inverse of ``join_distinct`` for merging partial sets: one row per
+    ``|``-separated element of ``value``, columns ``keys + [value]``. An
+    empty or null set becomes one null row, so its key still reaches the
+    merged output (``join_distinct`` then gives it ``''``)."""
+    col = _decoded(table[value])
+    empty = pc.fill_null(pc.equal(col, ""), True)
+    parts = pc.split_pattern(pc.if_else(empty, pa.scalar(None, col.type), col), "|")
+    # a null list still contributes one (null) row to its key
+    parts = pc.if_else(empty, pa.scalar([None], parts.type), parts)
+    rows = pc.list_parent_indices(parts)
+    out = {k: _decoded(table[k]).take(rows) for k in keys}
+    out[value] = pc.list_flatten(parts)
+    return pa.table(out)
+
+
+def union_joined(table: pa.Table, keys: list[str], value: str) -> pa.Table:
+    """Merge ``|``-joined partial sets per key: the sorted-distinct union
+    (``join_distinct`` over ``split_joined``)."""
+    return join_distinct(split_joined(table, keys, value), keys, value)
 
 
 def distinct_rows(ds: ray.data.Dataset, cols: list[str], num_buckets: int = 64) -> ray.data.Dataset:

@@ -7,17 +7,24 @@ looping elements sequentially (``/root/reference/src/dug/core/crawler.py:
 ``search_text`` unions (``parsers/_base.py:99-104,116-121``). Here that
 implicit mutable state becomes an explicit **partial+final aggregate**:
 
-1. *partial* (the combiner): inside ``map_batches``, a pandas groupby per
-   batch collapses each batch's mentions to at most one row per canonical
-   CURIE — counts, min (doc_id, tok_pos) ordering key, first-at-min name/
-   type, pipe-joined distinct term/identifier partial sets. This is the
+1. *partial* (the combiner): inside ``map_batches``, each batch's mentions
+   collapse to at most one row per canonical CURIE — counts, min (doc_id,
+   tok_pos) ordering key and first-at-min name/type (a pandas groupby),
+   and the term/identifier partial sets as ``|``-joined sorted-distinct
+   strings (the Arrow kernel ``shuffle.join_distinct``). This is the
    skew defense: the hot CURIEs (``MONDO:0004976`` attaches to nearly every
    document — the north star's "ubiquitous MONDO/HP terms") are reduced
    ~batch_size-fold *before* any data moves, so the shuffle receives
    O(#batches x #distinct-curies) tiny rows instead of O(#mentions).
-2. *final*: ``groupby('canonical_curie').map_groups(merge)`` over the small
-   partials — unions the sets, re-resolves first-wins by the global min
-   (doc_id, tok_pos).
+2. *final*: one Arrow pass per hash bucket of the concept key over the
+   small partials — ``split_joined`` + ``join_distinct`` union the sets,
+   and first-wins re-resolves by the global min (doc_id, tok_pos).
+
+``element_terms`` (each element's search terms and concept ids) has the
+same shape: an Arrow distinct of (element, collection, concept) per batch,
+then one Arrow pass per element bucket that joins the distinct pairs to the
+broadcast (concept, term) table and runs ``join_distinct`` twice. No string
+set is built by a Python call per group.
 
 Determinism: the reference's "first" is Python arrival order; ours is the
 explicit total order (doc_id, tok_pos) carried from the parse stage
@@ -34,34 +41,35 @@ from __future__ import annotations
 
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 
-from dug_ray import ontology
+from dug_ray.shuffle import (bucketed_table_apply, join_distinct, split_joined,
+                             typed_table, union_joined)
 
 CONCEPT_COLUMNS = [
     "concept_id", "name", "type", "n_mentions", "n_elements",
     "search_terms", "identifiers", "synonyms", "purl",
     "first_doc_id", "first_tok_pos",
 ]
+ELEMENT_KEYS = ["element_id", "collection_id"]
 
 
-def _join_distinct(values) -> str:
-    out = set()
-    for v in values:
-        if v:
-            out.update(v.split("|"))
-    return "|".join(sorted(out))
+def _distinct(batch: pa.Table, cols: list[str]) -> pa.Table:
+    return batch.select(cols).group_by(cols).aggregate([])
 
 
 def partial_concepts(batch: pa.Table) -> pa.Table:
     """Per-batch combiner: mentions -> partial concept metadata rows.
 
-    All set logic is C-level (``drop_duplicates`` then per-group joins over
-    the already-unique pairs); element membership is deliberately NOT
-    carried here — a hot concept's element list is unbounded (a single
-    partial string would be GBs at corpus scale), so ``n_elements`` comes
-    from the separate distinct-pair count in ``build_concepts``."""
-    df = batch.to_pandas()
+    One row per canonical CURIE, in CURIE order. The term and identifier
+    sets come from ``join_distinct`` over the batch; element membership is
+    deliberately NOT carried here — a hot concept's element list is
+    unbounded (a single partial string would be GBs at corpus scale), so
+    ``n_elements`` comes from the separate distinct-pair count in
+    ``build_concepts``."""
+    df = batch.select(["doc_id", "tok_pos", "canonical_curie", "curie", "name",
+                       "type", "synonyms", "purl"]).to_pandas()
     # doc_id is a string (io.py contract); order by NATURAL string order
     # (length, then lexicographic) — equals numeric order for canonical
     # integer ids without crashing on 'phs000123'-style ids. The emitted
@@ -95,37 +103,18 @@ def partial_concepts(batch: pa.Table) -> pa.Table:
         _doc_key=("doc_id", "first"),
         first_tok_pos=("tok_pos", "first"),
     ).reset_index()
-    terms = (df[["canonical_curie", "term"]].drop_duplicates()
-             .sort_values("term").groupby("canonical_curie")["term"]
-             .agg("|".join).rename("terms"))
-    ids = (df[["canonical_curie", "curie"]].drop_duplicates()
-           .sort_values("curie").groupby("canonical_curie")["curie"]
-           .agg("|".join).rename("identifiers"))
-    out = out.merge(terms, on="canonical_curie").merge(ids, on="canonical_curie")
-    out = out.rename(columns={"canonical_curie": "concept_id"})
-    from dug_ray.shuffle import typed_table
-    return typed_table(out, concept_id=pa.string(), name=pa.string(),
-                       type=pa.string(), synonyms=pa.string(), purl=pa.string(),
-                       n_mentions=pa.int64(), first_doc_id=pa.int64(),
-                       _doc_key=pa.string(), first_tok_pos=pa.int64(),
-                       terms=pa.string(), identifiers=pa.string())
+    first = typed_table(out.rename(columns={"canonical_curie": "concept_id"}),
+                        concept_id=pa.string(), name=pa.string(), type=pa.string(),
+                        synonyms=pa.string(), purl=pa.string(), n_mentions=pa.int64(),
+                        first_doc_id=pa.int64(), _doc_key=pa.string(),
+                        first_tok_pos=pa.int64()).sort_by("concept_id")
+    key = ["canonical_curie"]
+    return (first.append_column("terms", join_distinct(batch, key, "term")["term"])
+            .append_column("identifiers", join_distinct(batch, key, "curie")["curie"]))
 
 
-def _decat(df: pd.DataFrame) -> pd.DataFrame:
-    """Dictionary-encoded shuffle columns arrive in map_groups as pandas
-    categoricals whose sort order is CATEGORY-INSERTION order, not
-    lexicographic — re-type before any order-sensitive op (the same guard
-    materialize.write_partition applies). Latent today (partials emit
-    plain strings) but load-bearing the moment a partial stream is
-    dictionary-encoded or read back from a checkpoint."""
-    for c in df.columns:
-        if isinstance(df[c].dtype, pd.CategoricalDtype):
-            df[c] = df[c].astype(object)
-    return df
-
-
-def merge_partials(df: pd.DataFrame) -> pd.DataFrame:
-    """Final merge of partial concept rows (vectorized per bucket).
+def merge_partials(partials: pa.Table) -> pa.Table:
+    """Final merge of one bucket's partial concept rows, in concept order.
 
     First-wins name/type resolve to the row with the global min
     (doc natural order, first_tok_pos) — the deterministic stand-in for the
@@ -133,52 +122,53 @@ def merge_partials(df: pd.DataFrame) -> pd.DataFrame:
     type join the sort key so even an exact positional tie between partials
     from different blocks resolves identically on every run (block arrival
     order never decides; in this ontology name/type are functions of the
-    concept id, so this is purely a determinism guard)."""
-    df = _decat(df)
+    concept id, so this is purely a determinism guard). The sets are unions
+    of the partial sets (``split_joined`` then ``join_distinct``); concept
+    ``search_terms`` = terms ∪ synonyms (``parsers/_base.py:116-121``, A2)."""
+    df = partials.select(["concept_id", "name", "type", "purl", "n_mentions",
+                          "first_doc_id", "_doc_key", "first_tok_pos"]).to_pandas()
     df = df.assign(_doc_len=df["_doc_key"].str.len())
     df = df.sort_values(["_doc_len", "_doc_key", "first_tok_pos", "name", "type"],
                         kind="mergesort")
-    g = df.groupby("concept_id", as_index=False, sort=False)
-    out = g.agg(
+    out = df.groupby("concept_id", as_index=False, sort=False).agg(
         name=("name", "first"),
         type=("type", "first"),
         purl=("purl", "first"),
         n_mentions=("n_mentions", "sum"),
         first_doc_id=("first_doc_id", "first"),
         first_tok_pos=("first_tok_pos", "first"),
-        terms=("terms", _join_distinct),
-        identifiers=("identifiers", _join_distinct),
-        synonyms=("synonyms", _join_distinct),
     )
-    # concept search_terms = union over identifiers of search_text + synonyms,
-    # sorted distinct (parsers/_base.py:116-121, A2)
-    out["search_terms"] = [
-        "|".join(sorted(set(t.split("|")) | (set(s.split("|")) if s else set())))
-        for t, s in zip(out["terms"], out["synonyms"])
-    ]
-    out["n_mentions"] = out["n_mentions"].astype("int64")
-    return out
+    first = typed_table(out, concept_id=pa.string(), name=pa.string(),
+                        type=pa.string(), purl=pa.string(), n_mentions=pa.int64(),
+                        first_doc_id=pa.int64(),
+                        first_tok_pos=pa.int64()).sort_by("concept_id")
+    key = ["concept_id"]
+    terms = pa.concat_tables([
+        split_joined(partials, key, "terms"),
+        split_joined(partials, key, "synonyms").rename_columns([*key, "terms"])])
+    return (first
+            .append_column("identifiers", union_joined(partials, key, "identifiers")["identifiers"])
+            .append_column("synonyms", union_joined(partials, key, "synonyms")["synonyms"])
+            .append_column("search_terms", join_distinct(terms, key, "terms")["terms"]))
+
+
+def _element_pairs(batch: pa.Table) -> pa.Table:
+    return _distinct(batch, ["canonical_curie", "element_id"])
 
 
 def element_counts(linked: ray.data.Dataset, num_buckets: int = 32) -> ray.data.Dataset:
     """Exact distinct-(concept, element) counts per concept in one shuffle:
     per-batch pair dedup (combiner) -> bucket by concept -> per-bucket
-    dedup + size. Output: concept_id, n_elements."""
-    from dug_ray.shuffle import bucketed_group_apply
+    dedup + count. Output: concept_id, n_elements."""
 
-    def per_batch(batch: pa.Table) -> pa.Table:
-        from dug_ray.shuffle import typed_table
-        df = batch.to_pandas()[["canonical_curie", "element_id"]].drop_duplicates()
-        return typed_table(df, canonical_curie=pa.string(), element_id=pa.string())
+    def per_bucket(pairs: pa.Table) -> pa.Table:
+        n = _element_pairs(pairs).group_by("canonical_curie").aggregate(
+            [([], "count_all")])
+        return pa.table({"concept_id": n["canonical_curie"],
+                         "n_elements": n["count_all"]})
 
-    pairs = linked.map_batches(per_batch, batch_format="pyarrow", batch_size=None)
-
-    def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        out = (_decat(df).drop_duplicates().groupby("canonical_curie").size()
-               .rename("n_elements").reset_index())
-        return out.rename(columns={"canonical_curie": "concept_id"})
-
-    return bucketed_group_apply(pairs, "canonical_curie", per_bucket, num_buckets)
+    pairs = linked.map_batches(_element_pairs, batch_format="pyarrow", batch_size=None)
+    return bucketed_table_apply(pairs, "canonical_curie", per_bucket, num_buckets)
 
 
 def build_concepts(linked: ray.data.Dataset, num_buckets: int = 16) -> ray.data.Dataset:
@@ -189,9 +179,8 @@ def build_concepts(linked: ray.data.Dataset, num_buckets: int = 16) -> ray.data.
     (see dug_ray.shuffle for why not per-group map_groups). ``n_elements``
     joins in from the distinct-pair count; the counts table is bounded by
     ontology size, so it is collected and broadcast into the final map."""
-    from dug_ray.shuffle import bucketed_group_apply
     partials = linked.map_batches(partial_concepts, batch_format="pyarrow", batch_size=None)
-    meta = bucketed_group_apply(partials, "concept_id", merge_partials, num_buckets)
+    meta = bucketed_table_apply(partials, "concept_id", merge_partials, num_buckets)
     counts = {r["concept_id"]: r["n_elements"] for r in element_counts(linked).take_all()}
 
     def attach(batch: pa.Table) -> pa.Table:
@@ -203,33 +192,39 @@ def build_concepts(linked: ray.data.Dataset, num_buckets: int = 16) -> ray.data.
 
 
 def element_terms(linked: ray.data.Dataset, concepts: ray.data.Dataset) -> ray.data.Dataset:
-    """Per-element search terms (A4, ``parsers/_base.py:63-78``):
-    union over the element's concepts of concept search_terms + concept name,
-    sorted distinct. The concepts side is bounded by ontology size, so it is
-    collected and broadcast into the mention->element aggregation (at
-    1000x ontology scale this becomes a co-partitioned join on concept_id)."""
-    cmap = {r["concept_id"]: (r["search_terms"], r["name"])
-            for r in concepts.select_columns(["concept_id", "search_terms", "name"]).take_all()}
+    """Per-element search terms (A4, ``parsers/_base.py:63-78``): union over
+    the element's concepts of concept search_terms + concept name, and the
+    element's concept ids, each a sorted-distinct ``|``-joined set.
 
-    # pre-join once per distinct concept (C-level dict .map), never per row
-    joined = {cid: f"{ts}|{nm}" for cid, (ts, nm) in cmap.items()}
+    The concepts side is bounded by ontology size, so it is collected once
+    and exploded on the driver into a (canonical_curie, term) table that is
+    broadcast into the aggregation (at 1000x ontology scale this becomes a
+    co-partitioned join on concept_id). Per batch, the combiner is an Arrow
+    distinct of (element_id, collection_id, canonical_curie); after the
+    element-bucket exchange, one Arrow pass per bucket gives ``concepts``
+    from the distinct pairs and ``search_terms`` from the pairs joined to
+    the term table, both through ``join_distinct``."""
+    c = pa.Table.from_pylist(
+        concepts.select_columns(["concept_id", "search_terms", "name"]).take_all(),
+        schema=pa.schema([("concept_id", pa.string()), ("search_terms", pa.string()),
+                          ("name", pa.string())]))
+    cterms = pa.concat_tables([
+        split_joined(c, ["concept_id"], "search_terms")
+        .rename_columns(["canonical_curie", "term"]),
+        c.select(["concept_id", "name"]).rename_columns(["canonical_curie", "term"])])
+    cterms = cterms.filter(pc.is_valid(cterms["term"]))
 
     def per_batch(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()[["element_id", "collection_id", "canonical_curie"]]
-        df = df.assign(_terms=df["canonical_curie"].map(joined).fillna(""))
-        out = (df.groupby(["element_id", "collection_id"], as_index=False)
-                 .agg(search_terms=("_terms", _join_distinct),
-                      concepts=("canonical_curie", lambda s: "|".join(sorted(set(s))))))
-        from dug_ray.shuffle import typed_table
-        return typed_table(out, element_id=pa.string(), collection_id=pa.string(),
-                           search_terms=pa.string(), concepts=pa.string())
+        return _distinct(batch, [*ELEMENT_KEYS, "canonical_curie"])
+
+    def merge_bucket(pairs: pa.Table) -> pa.Table:
+        # left join: a concept missing from the term table still lists the
+        # element (with the null term skipped), so both sets share one key set
+        terms = pairs.join(cterms, "canonical_curie", join_type="left outer")
+        return (join_distinct(terms, ELEMENT_KEYS, "term")
+                .rename_columns([*ELEMENT_KEYS, "search_terms"])
+                .append_column("concepts", join_distinct(
+                    pairs, ELEMENT_KEYS, "canonical_curie")["canonical_curie"]))
 
     partial = linked.map_batches(per_batch, batch_format="pyarrow", batch_size=None)
-
-    def merge_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        return (_decat(df).groupby(["element_id", "collection_id"], as_index=False)
-                  .agg(search_terms=("search_terms", _join_distinct),
-                       concepts=("concepts", _join_distinct)))
-
-    from dug_ray.shuffle import bucketed_group_apply
-    return bucketed_group_apply(partial, "element_id", merge_bucket, num_buckets=32)
+    return bucketed_table_apply(partial, "element_id", merge_bucket, num_buckets=32)
