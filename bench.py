@@ -15,7 +15,8 @@ the artifact.
 
 Env knobs:
   GRAFT_SF_DIR     input dir (default /root/testdata/sf0.1)
-  RAY_GRAFT_CPUS   num_cpus for ray.init (default 32)
+  RAY_GRAFT_CPUS   num_cpus for the Ray session (default: the CPUs in this
+                   process's affinity mask)
   GRAFT_REPLICATE  amplify the corpus K-fold with distinct shifted doc_ids
                    so the job is long enough to measure scaling (default 200
                    -> 1M docs at sf0.1). Deterministic, input unchanged.
@@ -34,13 +35,9 @@ import sys
 import time
 
 
-def _init_ray(ncpu: int):
-    import ray
-    ray.init(address="local", num_cpus=ncpu, include_dashboard=False,
-             ignore_reinit_error=True, logging_level="ERROR")
-    from ray.data import DataContext
-    DataContext.get_current().enable_progress_bars = False
-    return ray
+def _num_cpus() -> int:
+    """``RAY_GRAFT_CPUS``, else the CPUs this process may run on."""
+    return int(os.environ.get("RAY_GRAFT_CPUS", len(os.sched_getaffinity(0))))
 
 
 def _read_docs_amplified(sf_dir: str, ncpu: int, k_total: int):
@@ -73,21 +70,23 @@ def leg_headline() -> dict:
     (min-of-N with warm workers on repeats 2+, same semantics as rounds
     1-4) plus the 20x concepts shuffle. Prints one JSON line."""
     sf_dir = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-    ncpu = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+    ncpu = _num_cpus()
     replicate = int(os.environ.get("GRAFT_REPLICATE", "200"))
     repeats = int(os.environ.get("GRAFT_BENCH_REPEATS", "3"))
 
-    ray = _init_ray(ncpu)
     import shutil
 
+    import ray
     import ray.data as rd
 
+    from dug_ray.cli import _ensure_ray
     from dug_ray.io import spanify
     from dug_ray.pipelines import kg
     from dug_ray.stages.canonicalize import build_concepts
     from dug_ray.stages.materialize import materialize_graph
     from dug_ray.stages.parse import parse_elements
 
+    _ensure_ray(ncpu)
     doc_path = f"{sf_dir}/documents.parquet"
     # warm the page cache so scaling runs measure compute, not first disk read
     with open(doc_path, "rb") as f:
@@ -135,9 +134,11 @@ def leg_secondary() -> dict:
     single runs). Separate from the headline leg so a raylet death in
     either costs only that leg."""
     sf_dir = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-    ncpu = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
-    ray = _init_ray(ncpu)
+    import ray
+
     from dug_ray import queries as q
+    from dug_ray.cli import _ensure_ray
+    _ensure_ray(_num_cpus())
     out = {}
     for name in ("dedup_exact", "minhash_pairs", "ann_topk", "text_quality",
                  "simhash", "search_elements", "curated_corpus"):
@@ -169,7 +170,7 @@ def _run_leg(name: str, retries: int = 1) -> dict | None:
 
 def run_bench() -> dict:
     sf_dir = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-    ncpu = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+    ncpu = _num_cpus()
     replicate = int(os.environ.get("GRAFT_REPLICATE", "200"))
 
     queries: dict = {}
@@ -346,8 +347,11 @@ def _hw_capacity_ratio() -> float:
 
 def run_query_timings() -> dict:
     """Time every registered query at sf0.01 (round-over-round tracker)."""
-    ray = _init_ray(int(os.environ.get("RAY_GRAFT_CPUS", "32")))
+    import ray
+
     from dug_ray import queries as q
+    from dug_ray.cli import _ensure_ray
+    _ensure_ray(_num_cpus())
     sf = os.environ.get("GRAFT_QUERY_SF", "/root/testdata/sf0.01")
     out = {}
     for name, fn in q.QUERIES.items():

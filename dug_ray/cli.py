@@ -26,7 +26,17 @@ def _ensure_ray(num_cpus: int | None):
             kwargs["num_cpus"] = num_cpus
         ray.init(**kwargs)
     from ray.data import DataContext
-    DataContext.get_current().enable_progress_bars = False
+    ctx = DataContext.get_current()
+    ctx.enable_progress_bars = False
+    # Ray Data's ReservationOpResourceAllocator reserves at least one whole
+    # CPU for every operator of a plan. The crawl has four (read, the fused
+    # map chain, the sort exchange, write_partition), so on four CPUs no
+    # shared pool is left: the fused map runs its tasks one at a time while
+    # the two operators behind the exchange barrier hold CPUs they cannot
+    # use yet. Without the reservation the map runs at the session's full
+    # width. Only the session this CLI owns is changed; a Dataset keeps the
+    # context it was created under, so this precedes every pipeline.
+    ctx.op_resource_reservation_enabled = False
 
 
 class _CliError(Exception):

@@ -7,14 +7,21 @@ two-phase scatter/compact exchange with a per-bucket lineage manifest so
 that (a) a reader can prune to a subject's bucket and (b) a killed run
 resumes per-bucket without recomputing completed fragments (see
 state/manifest.py).
+
+Each partition is deduped and sorted by one Arrow kernel
+(``dedup_partition``): int rank codes of the key columns, a stable
+``np.lexsort``, adjacent duplicates dropped, one ``take``. Of duplicate
+triples the first in input order is kept. Partitions never pass through
+pandas, and ``kg_triples`` (so ``entry()``) runs the same kernel.
 """
 
 from __future__ import annotations
 
 import os
 
-import pandas as pd
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data
 
@@ -37,7 +44,6 @@ def add_subj_bucket(triples: ray.data.Dataset, num_buckets: int = 16,
     from dug_ray.shuffle import stable_bucket_array
 
     def _bucket(batch: pa.Table) -> pa.Table:
-        import numpy as np
         b = stable_bucket_array(batch["subj"], num_buckets).to_numpy(zero_copy_only=False)
         if salt > 1:
             s = stable_bucket_array(batch["obj"], salt).to_numpy(zero_copy_only=False)
@@ -49,30 +55,52 @@ def add_subj_bucket(triples: ray.data.Dataset, num_buckets: int = 16,
     return triples.map_batches(_bucket, batch_format="pyarrow", batch_size=None)
 
 
-def dedup_partition(df: pd.DataFrame) -> pd.DataFrame:
-    """One salted subject partition: exact dedup + (subj, pred, obj) sort,
-    ``subj_bucket`` dropped."""
-    df = df.drop(columns=["subj_bucket"])
-    # dictionary-encoded shuffle columns arrive as pandas categoricals
-    # whose sort order is insertion order — re-type for a true
-    # lexicographic (subj, pred, obj) sort
-    for c in df.columns:
-        if isinstance(df[c].dtype, pd.CategoricalDtype):
-            df[c] = df[c].astype(object)
-    df = df.drop_duplicates(subset=["subj", "pred", "obj"])
-    return df.sort_values(["subj", "pred", "obj"], kind="mergesort")
+def _sort_codes(col: pa.ChunkedArray) -> np.ndarray:
+    """Each row's dense rank in the UTF-8 byte order of ``col``'s values,
+    nulls equal to each other and after every value.
+
+    The dictionaries of all chunks (a plain string chunk is
+    dictionary-encoded first) plus one null are ranked in one
+    ``pc.rank`` call; rows then gather their rank by dictionary index, so
+    the strings themselves are compared once per distinct value per chunk,
+    never per row. A null index points at the appended null."""
+    chunks = [c if pa.types.is_dictionary(c.type) else c.dictionary_encode()
+              for c in col.chunks]
+    value_type = col.type.value_type if pa.types.is_dictionary(col.type) else col.type
+    dicts = [c.dictionary for c in chunks]
+    ranks = pc.rank(pa.concat_arrays(dicts + [pa.nulls(1, value_type)]),
+                    null_placement="at_end", tiebreaker="dense").to_numpy()
+    starts = np.cumsum([0] + [len(d) for d in dicts])   # the last is the null's slot
+    slots = [pc.fill_null(pc.add(c.indices.cast(pa.int64()), int(s)), int(starts[-1]))
+             .to_numpy(zero_copy_only=False) for c, s in zip(chunks, starts)]
+    return ranks[np.concatenate(slots)] if slots else ranks[:0]
+
+
+def dedup_partition(part: pa.Table) -> pa.Table:
+    """One salted subject partition as ``TRIPLE_SCHEMA`` strings: exact
+    dedup on (subj, pred, obj), sorted by it, ``subj_bucket`` dropped.
+
+    Arrow kernel, no pandas: the three key columns become int rank codes
+    (``_sort_codes``), ``np.lexsort`` orders the rows and rows equal to
+    their predecessor on all three codes are dropped before one ``take``.
+    lexsort is stable, so of duplicate triples the first in input order is
+    kept (its ``obj_name`` / ``source_query`` win), as ``drop_duplicates``
+    + a mergesort would keep it. Strings order by UTF-8 bytes; null keys
+    compare equal and sort last."""
+    codes = [_sort_codes(part[c]) for c in ("subj", "pred", "obj")]
+    order = np.lexsort(codes[::-1])
+    ordered = [c[order] for c in codes]
+    keep = np.ones(len(order), dtype=bool)
+    keep[1:] = np.logical_or.reduce([c[1:] != c[:-1] for c in ordered])
+    return part.select(TRIPLE_SCHEMA.names).take(order[keep]).cast(TRIPLE_SCHEMA)
 
 
 def dedup_triples(triples: ray.data.Dataset) -> ray.data.Dataset:
     """The exchange of ``materialize_graph`` without the write: the salted
     subject-bucket groupby (default layout) with the same per-partition
     dedup, as plain ``TRIPLE_SCHEMA`` string columns."""
-
-    def per_group(df: pd.DataFrame) -> pa.Table:
-        return pa.Table.from_pandas(dedup_partition(df), preserve_index=False).cast(TRIPLE_SCHEMA)
-
     return (add_subj_bucket(triples, NUM_BUCKETS, salt=SALT)
-            .groupby("subj_bucket").map_groups(per_group, batch_format="pandas"))
+            .groupby("subj_bucket").map_groups(dedup_partition, batch_format="pyarrow"))
 
 
 def materialize_graph(triples: ray.data.Dataset, out_dir: str,
@@ -121,42 +149,40 @@ def materialize_graph(triples: ray.data.Dataset, out_dir: str,
         done_list = sorted(done)
 
         def drop_done(batch: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
             mask = pc.invert(pc.is_in(batch["subj_bucket"],
                                       value_set=pa.array(done_list, pa.int32())))
             return batch.filter(mask)
 
         bucketed = bucketed.map_batches(drop_done, batch_format="pyarrow", batch_size=None)
 
-    def write_partition(df: pd.DataFrame) -> pd.DataFrame:
+    def write_partition(part: pa.Table) -> pa.Table:
         import time
         t0 = time.time()
-        b = int(df["subj_bucket"].iloc[0])
-        df = dedup_partition(df)
+        b = part["subj_bucket"][0].as_py()
+        part = dedup_partition(part)
         final = os.path.join(out_dir, f"part-{b:05d}.parquet")
         # side-effect write is idempotent: tmp-file + rename; a task retry
         # simply replaces the file with identical content
-        fp = atomic_write_parquet(pa.Table.from_pandas(df, preserve_index=False), final)
+        fp = atomic_write_parquet(part, final)
         sec = round(time.time() - t0, 3)
         # per-bucket sidecar marker: a crash mid-materialize resumes past
         # this bucket (the end-of-run manifest rewrite compacts these away).
         # The marker carries the partition's metrics (wall sec, rows/s) next
         # to its lineage fingerprint — the north rule's per-partition metrics.
         PartitionManifest(out_dir).mark_done_sidecar(
-            b, len(df), final, fp,
+            b, part.num_rows, final, fp,
             metrics={"sec": sec,
-                     "rows_per_sec": round(len(df) / sec, 1) if sec > 0 else None})
-        return pd.DataFrame([{"bucket": b, "rows": len(df), "path": final,
-                              "fingerprint": fp, "sec": sec}])
+                     "rows_per_sec": round(part.num_rows / sec, 1) if sec > 0 else None})
+        return pa.table({"bucket": [b], "rows": [part.num_rows], "path": [final],
+                         "fingerprint": [fp], "sec": [sec]})
 
     stats = (bucketed.groupby("subj_bucket")
-             .map_groups(write_partition, batch_format="pandas")
-             .to_pandas())
-    items = [(int(r["bucket"]), int(r["rows"]), r["path"], r["fingerprint"],
-              {"sec": float(r["sec"]),
-               "rows_per_sec": round(int(r["rows"]) / float(r["sec"]), 1)
-               if float(r["sec"]) > 0 else None})
-             for _, r in stats.iterrows()]
+             .map_groups(write_partition, batch_format="pyarrow")
+             .take_all())
+    items = [(r["bucket"], r["rows"], r["path"], r["fingerprint"],
+              {"sec": r["sec"],
+               "rows_per_sec": round(r["rows"] / r["sec"], 1) if r["sec"] > 0 else None})
+             for r in stats]
     # partitions with no rows at all: mark done so resume skips them too
     seen = {i[0] for i in items} | done
     items += [(b, 0, "") for b in range(n_parts) if b not in seen]
@@ -171,9 +197,7 @@ def read_graph(out_dir: str) -> ray.data.Dataset:
     import glob
     parts = sorted(glob.glob(os.path.join(out_dir, "part-*.parquet")))
     if not parts:
-        return ray.data.from_pandas(pd.DataFrame({
-            c: pd.Series([], dtype="object")
-            for c in ("subj", "pred", "obj", "obj_name", "source_query")}))
+        return ray.data.from_arrow(TRIPLE_SCHEMA.empty_table())
     return ray.data.read_parquet(parts)
 
 
@@ -182,7 +206,6 @@ def subject_lookup(out_dir: str, subj: str, num_buckets: int = NUM_BUCKETS,
     """Serving-path point lookup: prune to the subject's ``salt`` partition
     files (the north-star read contract — a reader never scans the table).
     Returns a pyarrow Table of the subject's triples in (pred, obj) order."""
-    import pyarrow.compute as pcc
     import pyarrow.parquet as pq
 
     from dug_ray.shuffle import stable_bucket_array
@@ -192,9 +215,8 @@ def subject_lookup(out_dir: str, subj: str, num_buckets: int = NUM_BUCKETS,
         path = os.path.join(out_dir, f"part-{b * salt + s:05d}.parquet")
         if os.path.exists(path):
             t = pq.read_table(path)
-            tables.append(t.filter(pcc.equal(t["subj"], subj)))
+            tables.append(t.filter(pc.equal(t["subj"], subj)))
     if not tables:
-        return pa.table({c: pa.array([], pa.string())
-                         for c in ["subj", "pred", "obj", "obj_name", "source_query"]})
+        return TRIPLE_SCHEMA.empty_table()
     out = pa.concat_tables(tables)
     return out.sort_by([("pred", "ascending"), ("obj", "ascending")])

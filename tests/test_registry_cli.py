@@ -137,6 +137,25 @@ def test_cli_search_targets(sf_smoke, capsys):
     assert "Empty DataFrame" in capsys.readouterr().out  # no fabricated hits
 
 
+def test_cli_session_settings():
+    """The session the CLI owns runs without Ray Data's per-operator CPU
+    reservation (it serializes the crawl's pre-exchange map on a small
+    host) and without progress bars."""
+    from ray.data import DataContext
+
+    from dug_ray import cli
+
+    ctx = DataContext.get_current()
+    saved = ctx.op_resource_reservation_enabled
+    try:
+        ctx.op_resource_reservation_enabled = True
+        cli._ensure_ray(None)
+        assert DataContext.get_current().op_resource_reservation_enabled is False
+        assert DataContext.get_current().enable_progress_bars is False
+    finally:
+        ctx.op_resource_reservation_enabled = saved
+
+
 def test_cli_curate(sf_smoke, capsys, tmp_path):
     """curate writes the surviving docs WITH text as parquet, int64 ids
     (the pandas bucket-merge float widening must not leak to the sink),
