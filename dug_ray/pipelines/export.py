@@ -20,10 +20,13 @@ Everything derives from the already-verified pipelines; writes stream
 from __future__ import annotations
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 
 from dug_ray.pipelines import kg
+from dug_ray.shuffle import bucketed_table_apply, join_distinct, union_joined
 from dug_ray.stages.canonicalize import build_concepts, element_terms
+from dug_ray.stages.expand import expand_concepts
 
 
 def _atomic_write(ds: ray.data.Dataset, final: str) -> None:
@@ -40,10 +43,41 @@ def _atomic_write(ds: ray.data.Dataset, final: str) -> None:
     os.rename(tmp, final)
 
 
+def kg_answers(concepts: ray.data.Dataset) -> ray.data.Dataset:
+    """QueryKG answer extraction + dedup (M18 ``tranql.py:21-61``, A6
+    ``parsers/_base.py:106-110``): one answer per (concept, query shape),
+    answer_id = joined sorted node ids + query name; objs and obj names
+    aggregated sorted-distinct (the optional_terms feed, A3)."""
+    trips = expand_concepts(concepts)
+    keys = ["subj", "source_query"]
+    by_keys = [(k, "ascending") for k in keys]
+
+    def per_batch(batch: pa.Table) -> pa.Table:
+        # partial per (subj, source_query); a subject's triples may straddle
+        # blocks (Ray splits oversized map_batches outputs), so the partials
+        # must merge ASSOCIATIVELY: sorted-distinct pipe-joins + summed
+        # counts, with answer_id computed only after the final merge. Each
+        # column comes out in ascending key order over the same key set.
+        n = batch.group_by(keys).aggregate([([], "count_all")]).sort_by(by_keys)
+        return (join_distinct(batch, keys, "obj").rename_columns([*keys, "objs"])
+                .append_column("obj_names", join_distinct(batch, keys, "obj_name")["obj_name"])
+                .append_column("n_edges", n["count_all"]))
+
+    out = trips.map_batches(per_batch, batch_format="pyarrow", batch_size=None)
+
+    def merge(t: pa.Table) -> pa.Table:
+        n = t.group_by(keys).aggregate([("n_edges", "sum")]).sort_by(by_keys)
+        g = (union_joined(t, keys, "objs")
+             .append_column("obj_names", union_joined(t, keys, "obj_names")["obj_names"])
+             .append_column("n_edges", n["n_edges_sum"]))
+        return g.append_column("answer_id", pc.binary_join_element_wise(
+            pc.replace_substring(g["objs"], "|", "_"), g["source_query"], "_"))
+
+    return bucketed_table_apply(out, "subj", merge, 8)
+
+
 def export_searchable(sf_dir: str, out_dir: str) -> dict[str, int]:
     """Write the three searchable datasets; returns row counts."""
-    from dug_ray import queries as q
-
     # pinned for this export only: concepts and element_terms both read it
     linked = kg.linked_mentions_ds(sf_dir).materialize()
     # consumed twice (element_terms' take_all + write_parquet): pin once so
@@ -53,10 +87,9 @@ def export_searchable(sf_dir: str, out_dir: str) -> dict[str, int]:
     _atomic_write(element_terms(linked, concepts), f"{out_dir}/elements")
     _atomic_write(concepts, f"{out_dir}/concepts")
 
-    answers = q.q_kg_answers(sf_dir, concepts=concepts)
+    answers = kg_answers(concepts)
 
     def doc_ids(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         doc_id = pc.binary_join_element_wise(
             batch["subj"], batch["answer_id"], "_")
         return batch.append_column("doc_id", doc_id)

@@ -348,8 +348,7 @@ def hash_left_join(left: ray.data.Dataset, right: ray.data.Dataset,
     row is KEPT (pandas ``merge`` would match NaN==NaN, so null-keyed
     left rows bypass the merge and are appended with null right columns).
     Same single exchange as ``hash_join``; unmatched right columns come
-    back as NaN/None — callers fill + retype (see
-    queries.q_customer_order_counts)."""
+    back as NaN/None — callers fill + retype."""
     u, lcols, rcols = _tagged_union(left, right, left_key, right_key)
 
     def per_bucket(df: pd.DataFrame) -> pd.DataFrame:

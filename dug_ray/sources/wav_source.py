@@ -10,9 +10,9 @@ pipeline would use on real audio shards, exercised end to end without a
 codec library.
 
 Scale shape: rendering needs each user's samples in event order, so it
-rides ONE user-keyed exchange (the scd2/sessionize bucket); parsing and
-the stats reduction are pure map-side batch transforms over the binary
-column (one numpy pass per file, no Python per-sample loop).
+rides ONE user-keyed exchange (the scd2/sessionize bucket); parsing is a
+pure map-side batch transform over the binary column (one numpy pass
+per file, no Python per-sample loop).
 """
 
 from __future__ import annotations
@@ -90,26 +90,3 @@ def render_user_wavs(events: ray.data.Dataset,
 
     return bucketed_group_apply(events, "user_id", per_bucket,
                                 num_buckets)
-
-
-def wav_stats(wavs: ray.data.Dataset) -> ray.data.Dataset:
-    """Decode + per-file integer stats, map-side: ``(user_id,
-    sample_rate, n_samples, sum_abs, peak)``."""
-
-    def per_batch(batch: pa.Table) -> pa.Table:
-        rows = []
-        ids = batch["user_id"].to_numpy(zero_copy_only=False)
-        for uid, payload in zip(ids, batch["wav"].to_pylist()):
-            rate, s = decode_wav(payload)
-            a = np.abs(s.astype("int64"))
-            rows.append((int(uid), rate, len(s), int(a.sum()),
-                         int(a.max()) if len(a) else 0))
-        out = pd.DataFrame(rows, columns=["user_id", "sample_rate",
-                                          "n_samples", "sum_abs",
-                                          "peak"])
-        return typed_table(out, user_id=pa.int64(),
-                           sample_rate=pa.int64(), n_samples=pa.int64(),
-                           sum_abs=pa.int64(), peak=pa.int64())
-
-    return wavs.map_batches(per_batch, batch_format="pyarrow",
-                            batch_size=None)

@@ -339,10 +339,12 @@ def katz_centrality(triples: ray.data.Dataset, iterations: int = 3,
     round is exactly two bucketed exchanges — (1) state co-located with
     its out-edges by source bucket, per-destination message mass
     pre-summed inside the bucket, (2) messages + carried state folded by
-    destination.  int64 bound: t_k ≤ scale·(indeg_max/alpha_div)^k; with
-    scale 1e9 and K=3 the fold is exact up to indeg ~10^3·alpha_div —
-    the DuckDB oracle sums in HUGEINT and stays exact regardless, so
-    shrink ``scale`` if the graph is hubbier (documented, not silent)."""
+    destination.
+
+    Raises ``OverflowError`` before a round whose mass could pass int64:
+    a round adds at most (max t // alpha_div) x max indegree to any node,
+    so it runs only while max katz + that bound < 2**63 (the DuckDB
+    oracle sums in HUGEINT and never wraps; shrink ``scale`` instead)."""
     edges = distinct_rows(triples.select_columns(["subj", "obj"]),
                           ["subj", "obj"], num_buckets)
     edges = edges.map_batches(
@@ -355,6 +357,7 @@ def katz_centrality(triples: ray.data.Dataset, iterations: int = 3,
             pd.DataFrame({"node": [], "katz_mass": []}),
             node=pa.string(), katz_mass=pa.int64()))
     nb = max(2, min(num_buckets, n_edges // 50_000 + 2))
+    max_indeg = int(edges.groupby("obj").count().max("count()"))
 
     def _nodes(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
@@ -421,7 +424,17 @@ def katz_centrality(triples: ray.data.Dataset, iterations: int = 3,
         g["katz"] = g["k"] + g["s"]
         return typed_table(g[["node", "t", "katz"]], **STATE)
 
-    for _ in range(iterations):
+    for k in range(1, iterations + 1):
+        # pinned per round: the guard reads it, and both branches below
+        # consume it
+        state = state.materialize()
+        # Python ints: the bound itself must not wrap
+        max_t, max_katz = int(state.max("t")), int(state.max("katz"))
+        if max_katz + (max_t // alpha_div) * max_indeg >= 2 ** 63:
+            raise OverflowError(
+                f"katz_centrality round {k}: max katz {max_katz} + (max t "
+                f"{max_t} // alpha_div {alpha_div}) x max indegree "
+                f"{max_indeg} could pass int64; lower scale")
         # only state rows carry side='r' mass; the message-less nodes
         # survive through the carried-state rows (s=0), so the spine
         # never needs re-joining

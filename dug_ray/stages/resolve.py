@@ -1,10 +1,10 @@
 """Entity-resolution primitives: blocked pairwise string comparison.
 
-``editdist_histogram`` is the candidate-generation + verify shape of a
+``editdist_edges`` is the candidate-generation + verify shape of a
 record-linkage pipeline: block on a cheap deterministic key (here the
 name's first token) so only same-block pairs are compared, then score
-every candidate pair with an EXACT Levenshtein distance and aggregate a
-(block, distance, n_pairs) histogram.  Blocking is part of the operator's
+every candidate pair with an EXACT Levenshtein distance and keep the
+(key_a, key_b, dist) match edges.  Blocking is part of the operator's
 contract (the SQL mirror joins on the same key), so recall tradeoffs are
 explicit, not hidden.
 
@@ -48,37 +48,6 @@ def _levenshtein_batch(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return prev[:, lb]
 
 
-def _block_pair_hist(keys: np.ndarray, names: list[str],
-                     max_dist: int) -> dict[int, int]:
-    """Distance histogram over all C(n,2) pairs of one block."""
-    n = len(names)
-    if n < 2:
-        return {}
-    lens = np.fromiter((len(s) for s in names), dtype=np.int64, count=n)
-    L = int(lens.max())
-    mat = np.zeros((n, L), dtype=np.uint32)  # codepoints: any unicode name
-    for i, s in enumerate(names):
-        mat[i, :len(s)] = np.frombuffer(s.encode("utf-32-le"),
-                                        dtype=np.uint32)
-    ia, ib = np.triu_indices(n, k=1)
-    # a length-difference band is a free lower bound: |la-lb| <= dist
-    band = np.abs(lens[ia] - lens[ib]) <= max_dist
-    ia, ib = ia[band], ib[band]
-    hist: dict[int, int] = {}
-    # group pairs by (la, lb) so each DP runs on one rectangular shape
-    shape_key = lens[ia] * (L + 1) + lens[ib]
-    order = np.argsort(shape_key, kind="stable")
-    ia, ib, shape_key = ia[order], ib[order], shape_key[order]
-    for start, stop in zip(*_runs(shape_key)):
-        sa, sb = ia[start:stop], ib[start:stop]
-        la, lb = int(lens[sa[0]]), int(lens[sb[0]])
-        d = _levenshtein_batch(mat[sa, :la], mat[sb, :lb])
-        for dist, cnt in zip(*np.unique(d[d <= max_dist],
-                                        return_counts=True)):
-            hist[int(dist)] = hist.get(int(dist), 0) + int(cnt)
-    return hist
-
-
 def _runs(sorted_arr: np.ndarray):
     """(starts, stops) of equal-value runs in a sorted array."""
     if len(sorted_arr) == 0:
@@ -89,41 +58,11 @@ def _runs(sorted_arr: np.ndarray):
     return starts, stops
 
 
-def editdist_histogram(ds: ray.data.Dataset, key_col: str, name_col: str,
-                       max_dist: int = 4,
-                       num_buckets: int = 8) -> ray.data.Dataset:
-    """(blk, dist, n_pairs) for all same-block pairs with Levenshtein
-    distance <= ``max_dist``; blk = the name's first whitespace token."""
-
-    def add_block(batch: pa.Table) -> pa.Table:
-        df = pd.DataFrame({key_col: batch[key_col].to_pandas(),
-                           name_col: batch[name_col].to_pandas()})
-        df["blk"] = df[name_col].str.split(" ", n=1).str[0]
-        return typed_table(df[["blk", key_col, name_col]],
-                           blk=pa.string(),
-                           **{key_col: pa.int64(), name_col: pa.string()})
-
-    blocked = ds.map_batches(add_block, batch_format="pyarrow",
-                             batch_size=None)
-
-    def per_bucket(df: pd.DataFrame) -> pa.Table:
-        rows = []
-        for blk, g in df.groupby("blk", sort=False):
-            hist = _block_pair_hist(g[key_col].to_numpy(),
-                                    g[name_col].tolist(), max_dist)
-            rows.extend({"blk": blk, "dist": d, "n_pairs": c}
-                        for d, c in hist.items())
-        out = pd.DataFrame(rows, columns=["blk", "dist", "n_pairs"])
-        return typed_table(out, blk=pa.string(), dist=pa.int64(),
-                           n_pairs=pa.int64())
-
-    return bucketed_group_apply(blocked, "blk", per_bucket, num_buckets)
-
-
 def _block_pair_edges(keys: np.ndarray, names: list[str],
                       max_dist: int) -> list[tuple[int, int, int]]:
     """(key_a, key_b, dist) for one block's pairs with dist <= max_dist
-    (key_a < key_b) — same banded, shape-batched DP as the histogram."""
+    (key_a < key_b): banded (|la - lb| <= max_dist), one batched DP per
+    (la, lb) length shape."""
     n = len(names)
     if n < 2:
         return []
@@ -157,8 +96,7 @@ def editdist_edges(ds: ray.data.Dataset, key_col: str, name_col: str,
     """(key_a, key_b, dist) match edges for all same-block pairs with
     Levenshtein distance <= ``max_dist`` — the verify stage of a
     record-linkage pipeline kept as an edge stream (feed to a
-    connected-components fold for entity clusters).  Same blocking
-    contract and scale shape as ``editdist_histogram``: one row per
+    connected-components fold for entity clusters).  One row per
     record crosses the exchange, pairs are generated in the block's
     bucket."""
 

@@ -285,3 +285,22 @@ for i in range(2):
     assert p.returncode == 0, p.stderr[-2000:]
     results = [ln for ln in p.stdout.splitlines() if ln.startswith("RESULT")]
     assert len(results) == 2 and results[0] == results[1]
+
+
+@pytest.mark.parametrize("cmd", [["index"], ["crawl"], ["crawl", "--resumable"]])
+def test_product_path_skips_registry(sf_smoke, tmp_path, cmd):
+    """``dug_ray crawl`` / ``index`` (and the resumable runner behind
+    ``crawl --resumable``) never import the query registry: the product
+    path stands alone from ``dug_ray.queries``."""
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    script = """
+import atexit, sys
+atexit.register(lambda: print("REGISTRY_IMPORTED", "dug_ray.queries" in sys.modules))
+from dug_ray import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+    argv = ["--num-cpus", "2", cmd[0], sf_smoke, "-o", str(tmp_path / "out"), *cmd[1:]]
+    p = subprocess.run([sys.executable, "-c", script, *argv], cwd=repo,
+                       capture_output=True, text=True, timeout=600)
+    assert p.returncode == 0, p.stderr[-2000:]
+    assert "REGISTRY_IMPORTED False" in p.stdout.splitlines(), p.stdout[-500:]

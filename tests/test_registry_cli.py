@@ -1,6 +1,65 @@
 """Registry (§2.10) + metrics (M12) + search (O2) behavior tests."""
 
+import glob
+import os
+import re
+
 import pytest
+
+_REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# base tables of the test corpora; documents/embeddings are the paper's
+_BASE_TABLES = {"region", "nation", "customer", "supplier", "part", "partsupp",
+                "orders", "lineitem", "events", "documents", "embeddings"}
+# registered queries whose oracle reads neither documents nor embeddings;
+# each stays only while another test pins it, so this number only falls
+_OFF_PAPER_MAX = 392
+
+
+def _scanned_tables(sql: str) -> set[str]:
+    """Base tables an oracle reads: the names after FROM / JOIN, with
+    string literals and line comments stripped first."""
+    sql = re.sub(r"'(?:[^']|'')*'", "''", sql)
+    sql = re.sub(r"--[^\n]*", "", sql)
+    return {t.lower() for t in re.findall(r"\b(?:FROM|JOIN)\s+([A-Za-z_]\w*)", sql, re.I)
+            } & _BASE_TABLES
+
+
+def _coverage_query_names() -> set[str]:
+    """Backticked names in the ``query`` column of every COVERAGE.md table.
+    Header-less continuation rows use the last header's column, counted
+    from the right (implementation cells may contain a literal ``|``)."""
+    lines = open(os.path.join(_REPO, "COVERAGE.md")).read().split("\n")
+    names, from_right = set(), None
+    for i, line in enumerate(lines):
+        if not line.startswith("|") or line.startswith("|---"):
+            continue
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if i + 1 < len(lines) and lines[i + 1].startswith("|---"):
+            q = [k for k, c in enumerate(cells) if c.startswith("query")]
+            from_right = len(cells) - q[0] if q else None
+        elif from_right is not None and from_right <= len(cells):
+            names |= set(re.findall(r"`([a-z][a-z0-9_]*)`", cells[-from_right]))
+    return names
+
+
+def test_registry_scope():
+    """Every entry has an oracle; the queries whose oracle reads neither
+    documents nor embeddings (TPC-H- or events-only analytics) cannot
+    grow, and each is still pinned by another test (by its registry name
+    or its ``q_`` function); every query COVERAGE.md names is registered."""
+    from dug_ray.queries import ORACLES, QUERIES
+    assert QUERIES.keys() == ORACLES.keys()
+    off_paper = [n for n, sql in ORACLES.items()
+                 if not _scanned_tables(sql) & {"documents", "embeddings"}]
+    assert len(off_paper) <= _OFF_PAPER_MAX
+    tests = "".join(open(p).read() for p in glob.glob(os.path.join(_REPO, "tests", "*.py"))
+                    if not p.endswith(os.sep + "test_registry_cli.py"))
+    unpinned = sorted(n for n in off_paper
+                      if not re.search(rf"[\"']{n}[\"']|\bq_{n}\b", tests))
+    assert unpinned == []
+    covered = _coverage_query_names()
+    assert len(covered) > 200
+    assert sorted(covered - QUERIES.keys()) == []
 
 
 def test_registry_lookup_and_error():

@@ -106,7 +106,7 @@ def test_table_profile_counts_nulls_and_distinct():
 
 
 def test_levenshtein_batch_matches_scalar_dp():
-    from dug_ray.stages.resolve import _block_pair_hist
+    from dug_ray.stages.resolve import _block_pair_edges
 
     def ref(a: str, b: str) -> int:
         prev = list(range(len(b) + 1))
@@ -120,13 +120,10 @@ def test_levenshtein_batch_matches_scalar_dp():
 
     import numpy as np
     names = ["ring", "rings", "rung", "wrong", "ring", "bolt", ""]
-    hist = _block_pair_hist(np.arange(len(names)), names, max_dist=10)
-    want: dict[int, int] = {}
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            d = ref(names[i], names[j])
-            want[d] = want.get(d, 0) + 1
-    assert hist == want
+    got = _block_pair_edges(np.arange(len(names)), names, max_dist=10)
+    want = [(i, j, ref(names[i], names[j]))
+            for i in range(len(names)) for j in range(i + 1, len(names))]
+    assert sorted(got) == want
 
 
 def test_pareto_front_merge_invariant():

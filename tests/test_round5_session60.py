@@ -133,3 +133,23 @@ def test_katz_empty_graph():
     ds = katz_centrality(triples)
     assert ds.count() == 0
     assert ds.schema().names == ["node", "katz_mass"]
+
+
+def test_katz_overflow_raises_on_hub():
+    # star: 8 leaves -> hub. Round 1 sends (2**62 // 4) from each leaf, and
+    # 8 * 2**60 = 2**63 does not fit int64: the guard must refuse the round
+    # instead of letting the per-node sum wrap.
+    import pytest
+
+    from dug_ray.stages.graph import katz_centrality
+
+    leaves = [f"leaf{i}" for i in range(8)]
+    triples = ray.data.from_arrow(pa.table({
+        "subj": leaves, "pred": ["p"] * 8, "obj": ["hub"] * 8}))
+    with pytest.raises(OverflowError, match="could pass int64"):
+        katz_centrality(triples, scale=2 ** 62).to_pandas()
+    # one leaf less fits: 7 * 2**60 < 2**63
+    out = katz_centrality(ray.data.from_arrow(pa.table({
+        "subj": leaves[:7], "pred": ["p"] * 7, "obj": ["hub"] * 7})),
+        iterations=1, scale=2 ** 62).to_pandas()
+    assert dict(zip(out["node"], out["katz_mass"]))["hub"] == 7 * 2 ** 60
