@@ -21,18 +21,20 @@ from __future__ import annotations
 
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import ray.data
 
 from dug_ray.pipelines import kg
-from dug_ray.shuffle import bucketed_table_apply, join_distinct, union_joined
+from dug_ray.shuffle import join_distinct
 from dug_ray.stages.canonicalize import build_concepts, element_terms
-from dug_ray.stages.expand import expand_concepts
+from dug_ray.stages.expand import concept_triples
 
 
-def _atomic_write(ds: ray.data.Dataset, final: str) -> None:
+def _atomic_write(ds: ray.data.Dataset, final: str) -> int:
     """write_parquet into a tmp dir + rename (the cmd_curate/runner
     pattern): a rerun into the same out_dir REPLACES the dataset instead of
-    appending uniquely-named part files next to the old ones."""
+    appending uniquely-named part files next to the old ones. Returns the
+    rows written, summed from the parquet footers."""
     import os
     import shutil
     tmp = final.rstrip("/") + ".tmp"
@@ -41,39 +43,33 @@ def _atomic_write(ds: ray.data.Dataset, final: str) -> None:
     ds.write_parquet(tmp)
     shutil.rmtree(final, ignore_errors=True)
     os.rename(tmp, final)
+    return sum(pq.read_metadata(os.path.join(final, f)).num_rows
+               for f in os.listdir(final) if f.endswith(".parquet"))
 
 
 def kg_answers(concepts: ray.data.Dataset) -> ray.data.Dataset:
     """QueryKG answer extraction + dedup (M18 ``tranql.py:21-61``, A6
     ``parsers/_base.py:106-110``): one answer per (concept, query shape),
     answer_id = joined sorted node ids + query name; objs and obj names
-    aggregated sorted-distinct (the optional_terms feed, A3)."""
-    trips = expand_concepts(concepts)
+    aggregated sorted-distinct (the optional_terms feed, A3).
+
+    One ``map_batches`` and no exchange. Precondition: ``concepts`` holds
+    one row per concept (``build_concepts`` does), so every expansion edge
+    of a subject comes from the one call that holds that subject's row and
+    each (subj, source_query) group is complete within its batch."""
     keys = ["subj", "source_query"]
-    by_keys = [(k, "ascending") for k in keys]
 
-    def per_batch(batch: pa.Table) -> pa.Table:
-        # partial per (subj, source_query); a subject's triples may straddle
-        # blocks (Ray splits oversized map_batches outputs), so the partials
-        # must merge ASSOCIATIVELY: sorted-distinct pipe-joins + summed
-        # counts, with answer_id computed only after the final merge. Each
-        # column comes out in ascending key order over the same key set.
-        n = batch.group_by(keys).aggregate([([], "count_all")]).sort_by(by_keys)
-        return (join_distinct(batch, keys, "obj").rename_columns([*keys, "objs"])
-                .append_column("obj_names", join_distinct(batch, keys, "obj_name")["obj_name"])
-                .append_column("n_edges", n["count_all"]))
-
-    out = trips.map_batches(per_batch, batch_format="pyarrow", batch_size=None)
-
-    def merge(t: pa.Table) -> pa.Table:
-        n = t.group_by(keys).aggregate([("n_edges", "sum")]).sort_by(by_keys)
-        g = (union_joined(t, keys, "objs")
-             .append_column("obj_names", union_joined(t, keys, "obj_names")["obj_names"])
-             .append_column("n_edges", n["n_edges_sum"]))
+    def answers(batch: pa.Table) -> pa.Table:
+        trips = concept_triples(batch)
+        n = trips.group_by(keys).aggregate([([], "count_all")]).sort_by(
+            [(k, "ascending") for k in keys])
+        g = (join_distinct(trips, keys, "obj").rename_columns([*keys, "objs"])
+             .append_column("obj_names", join_distinct(trips, keys, "obj_name")["obj_name"])
+             .append_column("n_edges", n["count_all"]))
         return g.append_column("answer_id", pc.binary_join_element_wise(
             pc.replace_substring(g["objs"], "|", "_"), g["source_query"], "_"))
 
-    return bucketed_table_apply(out, "subj", merge, 8)
+    return concepts.map_batches(answers, batch_format="pyarrow", batch_size=None)
 
 
 def export_searchable(sf_dir: str, out_dir: str) -> dict[str, int]:
@@ -84,8 +80,8 @@ def export_searchable(sf_dir: str, out_dir: str) -> dict[str, int]:
     # the canonicalization shuffle doesn't re-execute
     concepts = build_concepts(linked).materialize()
 
-    _atomic_write(element_terms(linked, concepts), f"{out_dir}/elements")
-    _atomic_write(concepts, f"{out_dir}/concepts")
+    counts = {"elements": _atomic_write(element_terms(linked, concepts), f"{out_dir}/elements"),
+              "concepts": _atomic_write(concepts, f"{out_dir}/concepts")}
 
     answers = kg_answers(concepts)
 
@@ -95,10 +91,5 @@ def export_searchable(sf_dir: str, out_dir: str) -> dict[str, int]:
         return batch.append_column("doc_id", doc_id)
 
     answers = answers.map_batches(doc_ids, batch_format="pyarrow", batch_size=None)
-    _atomic_write(answers, f"{out_dir}/kg")
-
-    return {
-        "elements": ray.data.read_parquet(f"{out_dir}/elements").count(),
-        "concepts": ray.data.read_parquet(f"{out_dir}/concepts").count(),
-        "kg": ray.data.read_parquet(f"{out_dir}/kg").count(),
-    }
+    counts["kg"] = _atomic_write(answers, f"{out_dir}/kg")
+    return counts

@@ -29,7 +29,8 @@ duplicates, cut list offsets at key boundaries, ``binary_join``. A pandas
 ``agg`` with a Python set-join callable would call Python once per group;
 this kernel calls it once per table. ``split_joined`` is its inverse, and
 ``union_joined`` merges partial sets that crossed an exchange as joined
-strings.
+strings. First-writer-wins rows (``row_number() = 1`` per key) are the
+same cut on a stable sort, ``first_rows``.
 """
 
 from __future__ import annotations
@@ -158,6 +159,20 @@ def _starts(col: pa.Array) -> np.ndarray:
     ne = pc.or_kleene(pc.not_equal(a, b), pc.xor(pc.is_null(a), pc.is_null(b)))
     return np.concatenate(
         [[True], pc.fill_null(ne, False).to_numpy(zero_copy_only=False)])
+
+
+def first_rows(table: pa.Table, key: str, order: list[str]) -> pa.Table:
+    """``SELECT * ... QUALIFY row_number() OVER (PARTITION BY key ORDER BY
+    order) = 1 ORDER BY key`` in Arrow compute: one whole row per distinct
+    ``key``, the least by ``order`` (ascending, nulls last), in ascending
+    key order. The sort is stable, so a tie on every ``order`` column
+    keeps the row that came first in ``table``."""
+    if table.num_rows == 0:
+        return table
+    idx = pc.sort_indices(table.select([key, *order]), null_placement="at_end",
+                          sort_keys=[(c, "ascending") for c in [key, *order]])
+    runs = _starts(_decoded(table[key]).take(idx))
+    return table.take(idx.filter(pa.array(runs)))
 
 
 def join_distinct(table: pa.Table, keys: list[str], value: str) -> pa.Table:

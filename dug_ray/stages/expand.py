@@ -73,15 +73,16 @@ def expansion_edges(subjects) -> pd.DataFrame:
     return edges[edges["subj"].isin(subjects)]
 
 
+def concept_triples(batch: pa.Table) -> pa.Table:
+    """The expansion triples of one batch of concepts (by ``concept_id``)."""
+    hit = expansion_edges(set(batch["concept_id"].to_pylist()))
+    return pa.Table.from_pandas(hit[TRIPLE_SCHEMA.names],
+                                preserve_index=False).cast(TRIPLE_SCHEMA)
+
+
 def expand_concepts(concepts: ray.data.Dataset) -> ray.data.Dataset:
     """concepts -> expansion triples (join on the canonical CURIE)."""
-
-    def expand(batch: pa.Table) -> pa.Table:
-        hit = expansion_edges(set(batch["concept_id"].to_pylist()))
-        return pa.Table.from_pandas(hit[TRIPLE_SCHEMA.names],
-                                    preserve_index=False).cast(TRIPLE_SCHEMA)
-
-    return concepts.map_batches(expand, batch_format="pyarrow", batch_size=None)
+    return concepts.map_batches(concept_triples, batch_format="pyarrow", batch_size=None)
 
 
 def triples_partial(linked: ray.data.Dataset) -> ray.data.Dataset:

@@ -180,6 +180,11 @@ def test_export_searchable(sf_smoke, tmp_path):
     assert counts["concepts"] == 12
     assert counts["elements"] > 3000
     assert counts["kg"] == 14
+    # the counts come from the written files' footers: they must equal a
+    # read-back of each directory
+    import ray.data
+    assert counts == {part: ray.data.read_parquet(str(tmp_path / "idx" / part)).count()
+                      for part in ("elements", "concepts", "kg")}
 
 
 def test_custom_lexicon_flows_through_linker():

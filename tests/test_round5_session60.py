@@ -1,5 +1,5 @@
-"""Round-5 session-60: Mann-Kendall trend test, matrix-profile
-discords, truncated Katz centrality — hand-computed pins."""
+"""Round-5 session-60: Mann-Kendall trend test and truncated Katz
+centrality — hand-computed pins."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import math
 import os
 import tempfile
 
-import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray.data
@@ -43,70 +42,6 @@ def test_mann_kendall_hand_pin():
         assert int(r["var18"]) == 264
         assert int(r["z_milli"]) == math.floor(
             1000.0 * 1 / math.sqrt(264 / 18.0)) == 261
-
-
-def _mp_orders(_cache={}):
-    """21 consecutive 1997 days, one order each; dollars form a flat
-    series with one anomalous week."""
-    if "dir" in _cache:
-        return _cache["dir"], _cache["v"]
-    d = tempfile.mkdtemp(prefix="s60mp_")
-    v = [100] * 21
-    for k in range(7, 14):       # days 7..13 are the discord week
-        v[k] = 100 + 10 * (k - 6)
-    days = pd.date_range("1997-05-01", periods=21, freq="D")
-    pd.DataFrame({
-        "o_orderkey": range(1, 22),
-        "o_orderdate": days.astype("datetime64[us]"),
-        "o_totalprice": [float(x) for x in v],
-    }).to_parquet(os.path.join(d, "orders.parquet"))
-    _cache["dir"], _cache["v"] = d, v
-    return d, v
-
-
-def test_matrix_profile_vs_bruteforce():
-    import dug_ray.queries as q
-    sf, v = _mp_orders()
-    out = q.QUERIES["matrix_profile"](sf).to_pandas()
-    assert len(out) == 5
-    # brute-force reference profile
-    w, dp = 7, 21 - 7 + 1
-    vv = np.asarray(v, dtype=np.int64)
-    ref = {}
-    for i in range(dp):
-        best = None
-        for j in range(dp):
-            if abs(i - j) < w:
-                continue
-            d2 = int(((vv[i:i + w] - vv[j:j + w]) ** 2).sum())
-            if best is None or d2 < best[0] or (d2 == best[0]
-                                                and j < best[1]):
-                best = (d2, j)
-        if best is not None:
-            ref[i] = best
-    top = sorted(ref.items(), key=lambda kv: (-kv[1][0], kv[0]))[:5]
-    got = {int(r["idx"]): (int(r["dist2"]), int(r["nn_idx"]))
-           for _, r in out.iterrows()}
-    assert got == {i: b for i, b in top}
-    # day column is the epoch-day of the start index
-    day0 = int(pd.Timestamp("1997-05-01").value // 10 ** 9 // 86_400)
-    for _, r in out.iterrows():
-        assert int(r["day"]) == day0 + int(r["idx"])
-
-
-def test_matrix_profile_short_series_empty():
-    import dug_ray.queries as q
-
-    d = tempfile.mkdtemp(prefix="s60sp_")
-    pd.DataFrame({
-        "o_orderkey": [1, 2],
-        "o_orderdate": pd.to_datetime(["1997-01-01", "1997-01-02"])
-        .astype("datetime64[us]"),
-        "o_totalprice": [10.0, 20.0],
-    }).to_parquet(os.path.join(d, "orders.parquet"))
-    ds = q.QUERIES["matrix_profile"](d)
-    assert ds.count() == 0
-    assert ds.schema().names == ["idx", "day", "nn_idx", "dist2"]
 
 
 def test_katz_hand_iteration():

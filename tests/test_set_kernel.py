@@ -3,12 +3,13 @@ and ``element_terms``, which is built on it.
 
 The kernel is checked against a pure-Python ``"|".join(sorted(set(vals)))``
 reference and against DuckDB's ``string_agg(DISTINCT v, '|' ORDER BY v)``
-(the form every set oracle uses); ``element_terms`` must not depend on how
-its input is split into blocks."""
+(the form every set oracle uses); ``element_terms``, ``build_concepts`` and
+``kg_answers`` must not depend on how their input is split into blocks."""
 
 import duckdb
 import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 import ray
 import ray.data
 from hypothesis import given, settings
@@ -136,31 +137,54 @@ def test_bucketed_table_apply_writes_one_row_group_per_file(tmp_path):
     assert [pq.ParquetFile(f).metadata.num_row_groups for f in files] == [1] * len(files)
 
 
-def test_element_terms_block_split_invariant(sf_smoke):
-    """The same linked mentions as 1 block and as 16 blocks (one element's
-    mentions straddling blocks) give the same element rows."""
+def _straddling(ds, col):
+    """The values of ``col`` that occur in more than one block of ``ds``."""
+    seen, out = {}, set()
+    for i, ref in enumerate(ds.to_arrow_refs()):
+        for v in set(ray.get(ref)[col].to_pylist()):
+            if seen.setdefault(v, i) != i:
+                out.add(v)
+    return out
+
+
+@pytest.mark.parametrize("stage", ["element_terms", "concepts", "kg_answers"])
+def test_element_terms_block_split_invariant(sf_smoke, stage):
+    """The same input as one block and as many blocks gives the same rows:
+    ``element_terms`` and ``build_concepts`` over the linked mentions as 1
+    block and as 16 (an element's mentions, and the hot concept's,
+    straddling blocks); ``kg_answers`` over the concepts as 1 block and as
+    one block per concept."""
     from dug_ray.pipelines import kg
+    from dug_ray.pipelines.export import kg_answers
     from dug_ray.stages.canonicalize import build_concepts, element_terms
+    from dug_ray.stages.expand import expand_concepts
 
     linked = kg.linked_mentions_ds(sf_smoke).to_pandas().sort_values(
         ["element_id", "tok_pos"], kind="mergesort").reset_index(drop=True)
     concepts = build_concepts(ray.data.from_pandas(linked)).materialize()
-    one = ray.data.from_pandas(linked).repartition(1).materialize()
-    many = ray.data.from_pandas(linked).repartition(16).materialize()
-
-    blocks = [ray.get(r) for r in many.to_pandas_refs()]
-    assert len(blocks) >= 16
-    seen, straddling = {}, set()
-    for i, b in enumerate(blocks):
-        for e in set(b["element_id"]):
-            if seen.setdefault(e, i) != i:
-                straddling.add(e)
-    assert straddling, "no element's mentions straddle two blocks"
+    if stage == "kg_answers":
+        t = pa.concat_tables(ray.get(concepts.to_arrow_refs()))
+        one = ray.data.from_arrow(t)
+        many = ray.data.from_arrow([t.slice(i, 1) for i in range(t.num_rows)])
+        assert many.num_blocks() == t.num_rows > 1
+        fn = kg_answers
+        n_rows = len(expand_concepts(concepts).to_pandas()
+                     .drop_duplicates(["subj", "source_query"]))
+    else:
+        one = ray.data.from_pandas(linked).repartition(1).materialize()
+        many = ray.data.from_pandas(linked).repartition(16).materialize()
+        assert many.num_blocks() >= 16
+        if stage == "element_terms":
+            assert _straddling(many, "element_id"), "no element straddles two blocks"
+            fn, n_rows = (lambda ds: element_terms(ds, concepts)), linked["element_id"].nunique()
+        else:
+            hot = linked["canonical_curie"].value_counts().idxmax()
+            assert hot in _straddling(many, "canonical_curie")
+            fn, n_rows = build_concepts, linked["canonical_curie"].nunique()
 
     def rows(ds):
-        return sorted(element_terms(ds, concepts).to_pandas()
-                      .itertuples(index=False, name=None))
+        return sorted(fn(ds).to_pandas().itertuples(index=False, name=None))
 
     got_one, got_many = rows(one), rows(many)
     assert got_one == got_many
-    assert len(got_one) == linked["element_id"].nunique()
+    assert len(got_one) == n_rows > 0
