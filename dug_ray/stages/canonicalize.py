@@ -55,10 +55,6 @@ ELEMENT_KEYS = ["element_id", "collection_id"]
 _INT_ID = re.compile(r"-?\d{1,19}")
 
 
-def _distinct(batch: pa.Table, cols: list[str]) -> pa.Table:
-    return batch.select(cols).group_by(cols).aggregate([])
-
-
 def _doc_num(doc_id: str | None) -> int:
     """The exact int64 of a ``-?\\d{1,19}`` doc id that fits int64; -1 for
     any other id (``phs000123``, overflows)."""
@@ -105,10 +101,9 @@ def merge_partials(partials: pa.Table) -> pa.Table:
     ``search_terms`` = terms ∪ synonyms (``parsers/_base.py:116-121``, A2);
     ``n_elements`` counts the distinct elements over the partial sets."""
     key = ["concept_id"]
-    p = partials.append_column("_doc_len", pc.utf8_length(partials["_doc_key"]))
-    first = first_rows(p.select(["concept_id", "name", "type", "purl", "_doc_len",
-                                 "_doc_key", "first_tok_pos"]),
-                       "concept_id", ["_doc_len", "_doc_key", "first_tok_pos", "name", "type"])
+    m = partials.select(["concept_id", "name", "type", "purl", "_doc_key", "first_tok_pos"])
+    m = m.append_column("_doc_len", pc.utf8_length(m["_doc_key"]))
+    first = first_rows(m, "concept_id", ["_doc_len", "_doc_key", "first_tok_pos", "name", "type"])
     n = partials.group_by(key).aggregate([("n_mentions", "sum")]).sort_by("concept_id")
     e = (split_joined(partials, key, "elements").group_by(key)
          .aggregate([("elements", "count_distinct")]).sort_by("concept_id"))
@@ -162,7 +157,8 @@ def element_terms(linked: ray.data.Dataset, concepts: ray.data.Dataset) -> ray.d
     cterms = cterms.filter(pc.is_valid(cterms["term"]))
 
     def per_batch(batch: pa.Table) -> pa.Table:
-        return _distinct(batch, [*ELEMENT_KEYS, "canonical_curie"])
+        cols = [*ELEMENT_KEYS, "canonical_curie"]
+        return batch.select(cols).group_by(cols).aggregate([])
 
     def merge_bucket(pairs: pa.Table) -> pa.Table:
         # left join: a concept missing from the term table still lists the
