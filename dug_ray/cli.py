@@ -58,20 +58,22 @@ def cmd_crawl(args) -> int:
     from dug_ray import registry
     parser = _lookup(registry.get_parser, args.parser)
     if args.resumable:
-        from dug_ray.state.runner import output_triples, run_resumable
+        from dug_ray.state.runner import run_resumable
         run_resumable(args.sf_dir, args.out, parser=parser,
                       parser_name=args.parser)
-        n = output_triples(args.out).count()
     else:
         from dug_ray.io import read_interleaved
         from dug_ray.pipelines import kg
-        from dug_ray.stages.materialize import materialize_graph, read_graph
+        from dug_ray.stages.materialize import materialize_graph
         # a non-resumable crawl is a FRESH run: clear any previous output
         # (a completed manifest from an earlier corpus would otherwise
         # skip every bucket and serve the old triples)
         materialize_graph(kg.triples(read_interleaved(args.sf_dir), parser),
                           args.out, resume=False)
-        n = read_graph(args.out).count()
+    # both branches end in materialize_graph, whose manifest records the
+    # rows of every partition: the count needs no read-back of the table
+    from dug_ray.state.manifest import PartitionManifest
+    n = PartitionManifest(args.out).total_rows()
     print(json.dumps({"out": args.out, "triples": int(n)}))
     return 0
 

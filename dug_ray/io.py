@@ -114,30 +114,26 @@ def _spanify_batch(batch: pa.Table) -> pa.Table:
     local = np.arange(len(span_doc)) - np.repeat(_excl_cumsum(n_spans)[:-1], n_spans)
     is_media = local % (MEDIA_EVERY + 1) == MEDIA_EVERY
 
-    text_col = np.empty(len(local), dtype=object)
-    text_col[~is_media] = chunk_texts.to_numpy(zero_copy_only=False)
-    text_col[is_media] = ""
+    # text spans take the chunk texts in order and media spans take the
+    # appended "" (and the reverse for media refs): one Arrow ``take`` each
+    n_text = np.cumsum(~is_media) - 1
+    n_media = np.cumsum(is_media) - 1
+    text_col = pa.concat_arrays([pc.cast(chunk_texts, pa.string()), pa.array([""])]).take(
+        pa.array(np.where(is_media, len(chunk_texts), n_text)))
 
     doc_id_str = pc.cast(batch["doc_id"], pa.string())
-    doc_ids_np = doc_id_str.to_numpy(zero_copy_only=False)
-    media_ref = np.full(len(local), "", dtype=object)
     mi = np.flatnonzero(is_media)
     # vectorized "media://{doc}/{offset}" — no per-span Python formatting
     # on the headline spanify path
     refs = pc.binary_join_element_wise(
-        pa.array(np.full(len(mi), "media://", dtype=object), pa.string()),
-        pa.array(doc_ids_np[span_doc[mi]], pa.string()),
-        pa.array(np.full(len(mi), "/", dtype=object), pa.string()),
-        pc.cast(pa.array(local[mi]), pa.string()),
-        pa.scalar(""))
-    media_ref[mi] = refs.to_numpy(zero_copy_only=False)
+        "media://", pc.take(doc_id_str, pa.array(span_doc[mi])), "/",
+        pc.cast(pa.array(local[mi]), pa.string()), "")
+    media_ref = pa.concat_arrays([*refs.chunks, pa.array([""])]).take(
+        pa.array(np.where(is_media, n_media, len(mi))))
 
-    kind = np.where(is_media, "media", "text")
     struct = pa.StructArray.from_arrays(
-        [pa.array(kind, type=pa.string()),
-         pa.array(text_col, type=pa.string()),
-         pa.array(media_ref, type=pa.string()),
-         pa.array(local, type=pa.int32())],
+        [pa.array(["text", "media"]).take(pa.array(is_media.astype(np.int8))),
+         text_col, media_ref, pa.array(local, type=pa.int32())],
         names=["kind", "text", "media_ref", "offset"])
     spans = pa.ListArray.from_arrays(
         pa.array(_excl_cumsum(n_spans), type=pa.int32()), struct)

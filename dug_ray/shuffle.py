@@ -63,14 +63,22 @@ def _stable_hash_array(keys: pa.ChunkedArray | pa.Array) -> np.ndarray:
 
     Uses ``pandas.util.hash_array`` (vectorized SipHash with the fixed
     default key — stable across processes; the env pins the pandas version,
-    which resume depends on). Hashing only the *distinct* values of the
-    batch via dictionary encoding keeps this O(unique) instead of O(rows).
-    Null keys hash to 0 (documented semantics: nulls form one group)."""
+    which resume depends on) over the Python objects of the key values.
+    Hashing only the *distinct* values of the batch via dictionary encoding
+    keeps this O(unique) instead of O(rows). A string dictionary becomes
+    its object array in one ``to_numpy`` call (the same ``str`` values
+    ``to_pylist`` gives, without a Python list per batch); other types keep
+    ``to_pylist``, whose objects (ints, dates, ...) SipHash differently
+    from their numpy scalars. Null keys hash to 0 (documented semantics:
+    nulls form one group)."""
     if isinstance(keys, pa.ChunkedArray):
         keys = keys.combine_chunks()
     enc = keys.dictionary_encode()
+    values = enc.dictionary
     dict_hash = pd.util.hash_array(
-        np.asarray(enc.dictionary.to_pylist(), dtype=object))
+        values.to_numpy(zero_copy_only=False)
+        if pa.types.is_string(values.type) or pa.types.is_large_string(values.type)
+        else np.asarray(values.to_pylist(), dtype=object))
     codes = enc.indices
     if codes.null_count:
         # null keys encode as null indices; -1 fancy-indexes the appended slot

@@ -18,9 +18,12 @@ as one stateful ``map_batches`` task, ``ner_batch``:
 Scale notes: the lexicon is per-worker-process state (``DictionaryNER``),
 built ONCE per process and stage options and reused by every later task in
 that process; at cluster scale it arrives via ``ray.put`` broadcast (the
-``lexicon_ref`` option). The batch body is vectorized: pyarrow
-``split_pattern`` + flat token explode + one pandas hash-merge against the
-lexicon; no per-row Python loop.
+``lexicon_ref`` option). The batch body is Arrow compute plus numpy:
+``split_pattern`` + flat token explode, one ``index_in`` of the tokens
+against the lexicon's distinct terms, and a precomputed CSR (each term's
+lexicon rows) that ``np.repeat`` expands into one candidate per (token,
+lexicon row), in token order and then lexicon order; one ``take`` builds
+each output column. No pandas and no per-row Python loop.
 """
 
 from __future__ import annotations
@@ -28,18 +31,22 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data
 
 from dug_ray import ontology
-from dug_ray.io import SPAN_TOKENS
+from dug_ray.io import SPAN_TOKENS, _excl_cumsum
 
 #: default abbreviation-expansion dict (config.py:35-40: {"bmi": "body mass
 #: index", "_": " "}); identity on the synthetic corpus.
 DEFAULT_PREPROCESSOR: dict[str, str] = {}
+
+#: the lexicon's columns as the mention table carries them
+LEXICON_SCHEMA = pa.schema([("term", pa.string()), ("curie", pa.string()),
+                           ("label", pa.string()), ("category", pa.string()),
+                           ("score", pa.float64())])
 
 MENTION_COLUMNS = [
     "doc_id", "element_id", "collection_id", "span_offset", "tok_pos",
@@ -73,8 +80,17 @@ class DictionaryNER:
 
     def __init__(self, lexicon_ref=None, preprocessor: dict[str, str] | None = None):
         lex = ray.get(lexicon_ref) if lexicon_ref is not None else ontology.lexicon_df()
-        # index by term for the merge; keep dtypes tight
-        self.lexicon = lex.rename(columns={"term": "_term"})
+        lex = pa.Table.from_pandas(
+            lex[LEXICON_SCHEMA.names], schema=LEXICON_SCHEMA, preserve_index=False)
+        self.lexicon = lex.filter(pc.is_valid(lex["term"]))  # a null term matches no token
+        # CSR over the distinct terms: term k's lexicon rows, in lexicon
+        # order, are rows[start[k]:start[k] + count[k]]
+        enc = pc.dictionary_encode(self.lexicon["term"]).combine_chunks()
+        term_code = enc.indices.to_numpy()
+        self.terms = enc.dictionary
+        self.rows = np.argsort(term_code, kind="stable")
+        self.count = np.bincount(term_code, minlength=len(self.terms))
+        self.start = _excl_cumsum(self.count)[:-1]
         self.preprocessor = dict(DEFAULT_PREPROCESSOR if preprocessor is None else preprocessor)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -90,38 +106,32 @@ class DictionaryNER:
         starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
         pos_in_span = np.arange(len(flat)) - starts[parent]
 
-        # dictionary-encode the token stream so the lexicon join is a cheap
-        # int-code merge on the (tiny) per-batch vocabulary instead of a
-        # string merge over millions of tokens
-        enc = pc.dictionary_encode(flat)
-        if isinstance(enc, pa.ChunkedArray):
-            enc = enc.combine_chunks()
-        codes = enc.indices.to_numpy(zero_copy_only=False)
-        vocab = pd.DataFrame({"_code": np.arange(len(enc.dictionary)),
-                              "_term": enc.dictionary.to_pandas()})
-        lex_codes = vocab.merge(self.lexicon, on="_term", how="inner", sort=False)
-        tok = pd.DataFrame({"_parent": parent, "_code": codes, "_pos": pos_in_span})
-        hits = tok.merge(lex_codes, on="_code", how="inner", sort=False)
-        if len(hits) == 0:
+        # each hit token expands into its term's lexicon rows: token order
+        # first, then lexicon order
+        term = pc.index_in(flat, value_set=self.terms)
+        hit = np.flatnonzero(pc.is_valid(term).to_numpy(zero_copy_only=False))
+        if len(hit) == 0:
             return pa.table({c: pa.array([], type=(pa.int32() if c in ("span_offset", "tok_pos")
                                                   else pa.float64() if c == "score" else pa.string()))
                              for c in MENTION_COLUMNS})
+        k = pc.drop_null(term).to_numpy()
+        n = self.count[k]
+        tok = np.repeat(hit, n)
+        lex_row = self.rows[np.repeat(self.start[k], n) + np.arange(n.sum())
+                            - np.repeat(_excl_cumsum(n)[:-1], n)]
 
-        take = pa.array(hits["_parent"].to_numpy(), type=pa.int64())
+        take = pa.array(parent[tok], type=pa.int64())
         chunk_idx = pc.take(batch["chunk_idx"], take).to_numpy(zero_copy_only=False).astype(np.int64)
         # 1-based global token position in the doc's full text (io.py contract)
-        tok_pos = chunk_idx * SPAN_TOKENS + hits["_pos"].to_numpy() + 1
+        tok_pos = chunk_idx * SPAN_TOKENS + pos_in_span[tok] + 1
+        lex = self.lexicon.take(pa.array(lex_row))
         return pa.table({
             "doc_id": pc.take(batch["doc_id"], take),
             "element_id": pc.take(batch["element_id"], take),
             "collection_id": pc.take(batch["collection_id"], take),
             "span_offset": pc.take(batch["span_offset"], take),
             "tok_pos": pa.array(tok_pos, type=pa.int32()),
-            "term": pa.array(hits["_term"], type=pa.string()),
-            "curie": pa.array(hits["curie"], type=pa.string()),
-            "label": pa.array(hits["label"], type=pa.string()),
-            "category": pa.array(hits["category"], type=pa.string()),
-            "score": pa.array(hits["score"], type=pa.float64()),
+            **{c: lex[c] for c in LEXICON_SCHEMA.names},
         })
 
 

@@ -35,8 +35,10 @@ from __future__ import annotations
 
 import functools
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 
 from dug_ray import ontology
@@ -51,7 +53,7 @@ TRIPLE_SCHEMA = pa.schema([
 
 
 @functools.lru_cache(maxsize=1)
-def _valid_edges() -> pd.DataFrame:
+def _valid_edges() -> pa.Table:
     """Edge table pre-filtered by subject-prefix validity + redlist, built
     once per process.
 
@@ -63,21 +65,21 @@ def _valid_edges() -> pd.DataFrame:
         [p in ontology.QUERY_VALID_PREFIXES.get(q, []) for p, q in zip(prefix, e["source_query"])],
         index=e.index)
     e = e[allowed & ~e["subj"].isin(ontology.TRANQL_EXCLUDE_IDENTIFIERS)]
-    return e.reset_index(drop=True)
+    return pa.Table.from_pandas(e[TRIPLE_SCHEMA.names], schema=TRIPLE_SCHEMA,
+                                preserve_index=False).replace_schema_metadata()
 
 
-def expansion_edges(subjects) -> pd.DataFrame:
-    """The expansion join for one batch: valid ontology edges whose
-    subject is one of ``subjects`` (distinct canonical CURIEs)."""
+def expansion_edges(subjects: pa.Array | pa.ChunkedArray) -> pa.Table:
+    """The expansion join for one batch: valid ontology edges (as
+    ``TRIPLE_SCHEMA``, in edge-table order) whose subject is one of
+    ``subjects`` (canonical CURIEs)."""
     edges = _valid_edges()
-    return edges[edges["subj"].isin(subjects)]
+    return edges.filter(pc.is_in(edges["subj"], value_set=pc.unique(subjects)))
 
 
 def concept_triples(batch: pa.Table) -> pa.Table:
     """The expansion triples of one batch of concepts (by ``concept_id``)."""
-    hit = expansion_edges(set(batch["concept_id"].to_pylist()))
-    return pa.Table.from_pandas(hit[TRIPLE_SCHEMA.names],
-                                preserve_index=False).cast(TRIPLE_SCHEMA)
+    return expansion_edges(batch["concept_id"])
 
 
 def expand_concepts(concepts: ray.data.Dataset) -> ray.data.Dataset:
@@ -93,28 +95,30 @@ def triples_partial(linked: ray.data.Dataset) -> ray.data.Dataset:
     ``materialize()`` of the mention table and no branch re-execution; the
     only exchange left is the salted subject-bucket groupby
     (``materialize.dedup_triples`` / ``materialize_graph``), where
-    cross-batch duplicates are exactly deduped. Projects to the two needed
-    columns before building triples; low-cardinality columns are
-    dictionary-encoded (shuffle moves codes, not repeated strings)."""
+    cross-batch duplicates are exactly deduped. The per-batch distinct
+    keeps each ``(canonical_curie, element_id)`` pair's first occurrence,
+    in first-occurrence order: both columns are dictionary-encoded, the
+    pair of codes is one int64 key, and ``np.unique`` gives each key's
+    first row. Low-cardinality output columns stay dictionary-encoded
+    (shuffle moves codes, not repeated strings)."""
 
     def emit(batch: pa.Table) -> pa.Table:
-        df = batch.select(["canonical_curie", "element_id"]).to_pandas().drop_duplicates()
-        n = len(df)
+        subj, obj = (pc.dictionary_encode(batch[c], null_encoding="encode").combine_chunks()
+                     for c in ("canonical_curie", "element_id"))
+        key = (subj.indices.to_numpy().astype(np.int64) * max(len(obj.dictionary), 1)
+               + obj.indices.to_numpy())
+        first = pa.array(np.sort(np.unique(key, return_index=True)[1]))
+        n = len(first)
         ann = pa.table({
-            "subj": pa.array(df["canonical_curie"], type=pa.string()).dictionary_encode(),
+            "subj": pc.take(subj, first).cast(pa.string()).dictionary_encode(),
             "pred": pa.nulls(n, pa.string()).fill_null("dug:annotates").dictionary_encode(),
-            "obj": pa.array(df["element_id"], type=pa.string()),
+            "obj": pc.take(obj, first).cast(pa.string()),
             "obj_name": pa.nulls(n, pa.string()).fill_null("").dictionary_encode(),
             "source_query": pa.nulls(n, pa.string()).fill_null("annotation").dictionary_encode(),
         })
-        hit = expansion_edges(set(df["canonical_curie"].unique()))
-        exp = pa.table({
-            "subj": pa.array(hit["subj"], type=pa.string()).dictionary_encode(),
-            "pred": pa.array(hit["pred"], type=pa.string()).dictionary_encode(),
-            "obj": pa.array(hit["obj"], type=pa.string()),
-            "obj_name": pa.array(hit["obj_name"], type=pa.string()).dictionary_encode(),
-            "source_query": pa.array(hit["source_query"], type=pa.string()).dictionary_encode(),
-        })
+        hit = expansion_edges(subj.dictionary).combine_chunks()
+        exp = pa.table({c: hit[c] if c == "obj" else hit[c].dictionary_encode()
+                        for c in TRIPLE_SCHEMA.names})
         return pa.concat_tables([exp, ann], promote_options="default")
 
     return linked.map_batches(emit, batch_format="pyarrow", batch_size=None)

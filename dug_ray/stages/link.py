@@ -20,9 +20,10 @@ task, ``link_batch``:
 - PURL attach (M11, ``biolink_purl_util.py:165-174``): static prefix map.
 
 The three lookup tables are tiny versus the mention stream, so they are
-resolved once per worker process and stage options into one composite table
-(``LinkNormalize``) and joined with an in-memory pandas hash merge per batch
-— never a shuffle.
+resolved once per worker process and stage options into one composite Arrow
+table (``LinkNormalize``, one row per raw CURIE). A batch joins it with one
+``index_in`` of its CURIEs and one ``take`` of the matched rows — no pandas
+per batch (except around a ``mention_filter``) and never a shuffle.
 At 10^12-doc scale this is exactly the "broadcast small side" join pattern;
 only if the normalizer map itself outgrew worker memory would this become a
 hash-partitioned shuffle join.
@@ -34,15 +35,27 @@ import functools
 
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data
 
 from dug_ray import ontology
 
-LINKED_COLUMNS = [
-    "doc_id", "element_id", "collection_id", "span_offset", "tok_pos",
-    "term", "curie", "canonical_curie", "name", "type", "synonyms", "purl", "score",
-]
+LINKED_SCHEMA = pa.schema([
+    ("doc_id", pa.string()), ("element_id", pa.string()),
+    ("collection_id", pa.string()), ("span_offset", pa.int32()),
+    ("tok_pos", pa.int32()), ("term", pa.string()),
+    ("curie", pa.string()), ("canonical_curie", pa.string()),
+    ("name", pa.string()), ("type", pa.string()),
+    ("synonyms", pa.string()), ("purl", pa.string()),
+    ("score", pa.float64()),
+])
+
+#: the composite lookup: one row per raw CURIE the lexicon can produce
+RESOLVED_SCHEMA = pa.schema([
+    ("curie", pa.string()), ("canonical_curie", pa.string()), ("name", pa.string()),
+    ("type", pa.string()), ("synonyms", pa.string()), ("purl", pa.string()),
+])
 
 
 def _synonyms_joined() -> pd.DataFrame:
@@ -109,25 +122,24 @@ class LinkNormalize:
                 "type": typ, "synonyms": syn_map.get(canonical, ""),
                 "purl": ontology.purl_for(canonical),
             })
-        self.resolved = pd.DataFrame(rows)
+        self.resolved = pa.Table.from_pandas(
+            pd.DataFrame(rows, columns=RESOLVED_SCHEMA.names),
+            schema=RESOLVED_SCHEMA, preserve_index=False)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         batch = batch.filter(pc.greater_equal(batch["score"], self.threshold))
-        df = batch.to_pandas()
         if self.mention_filter is not None:
-            df = self.mention_filter(df)
-        df = df.merge(self.resolved, on="curie", how="inner", sort=False)
-        out = df[LINKED_COLUMNS]
-        return pa.Table.from_pandas(out, preserve_index=False).cast(pa.schema([
-            ("doc_id", pa.string()), ("element_id", pa.string()),
-            ("collection_id", pa.string()), ("span_offset", pa.int32()),
-            ("tok_pos", pa.int32()), ("term", pa.string()),
-            ("curie", pa.string()), ("canonical_curie", pa.string()),
-            ("name", pa.string()), ("type", pa.string()),
-            ("synonyms", pa.string()), ("purl", pa.string()),
-            ("score", pa.float64()),
-        ]))
+            batch = pa.Table.from_pandas(self.mention_filter(batch.to_pandas()),
+                                         schema=batch.schema, preserve_index=False)
+        # ``resolved`` holds each curie once, so the lookup is a position in
+        # it; unresolved mentions (no position) are dropped
+        idx = pc.index_in(batch["curie"], value_set=self.resolved["curie"])
+        keep = pc.is_valid(idx)
+        batch = batch.filter(keep)
+        res = self.resolved.take(idx.filter(keep))
+        return pa.table([batch[c] if c in batch.column_names else res[c]
+                         for c in LINKED_SCHEMA.names],
+                        names=LINKED_SCHEMA.names).cast(LINKED_SCHEMA)
 
 
 #: per-process stage state, one per (hashable) option tuple

@@ -68,6 +68,10 @@ class PartitionManifest:
             json.dump(entry, f)
         os.rename(tmp, os.path.join(self.out_dir, f"_done-{bucket:05d}.json"))
 
+    def total_rows(self) -> int:
+        """Rows over every partition entry (the ``_meta`` entry has none)."""
+        return sum(v["rows"] for k, v in self.load().items() if k != "_meta")
+
     def completed_buckets(self) -> set[int]:
         return {int(k) for k, v in self.load().items() if v.get("status") == "done"}
 

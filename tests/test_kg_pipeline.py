@@ -309,3 +309,28 @@ sys.exit(cli.main(sys.argv[1:]))
                        capture_output=True, text=True, timeout=600)
     assert p.returncode == 0, p.stderr[-2000:]
     assert "REGISTRY_IMPORTED False" in p.stdout.splitlines(), p.stdout[-500:]
+
+
+def test_crawl_count_from_manifest(sf_smoke, tmp_path, capsys):
+    """The crawl reports the rows its manifest records, which are the rows
+    of its part files: for a fresh crawl, a second crawl into the same
+    directory and a resumable crawl."""
+    import argparse
+    import json
+
+    from dug_ray import cli
+    from dug_ray.stages.materialize import read_graph
+
+    def crawl(sf_dir, out, resumable=False):
+        assert cli.cmd_crawl(argparse.Namespace(num_cpus=None, sf_dir=sf_dir, out=out,
+                                                parser="dbgap", resumable=resumable)) == 0
+        return json.loads(capsys.readouterr().out.strip().splitlines()[-1])["triples"]
+
+    other = os.path.join(os.path.dirname(sf_smoke), "sf0.01")
+    out = str(tmp_path / "kg")
+    first = crawl(other, out)
+    assert first == read_graph(out).count() > 0
+    second = crawl(sf_smoke, out)
+    assert second == read_graph(out).count() > 0 and second != first
+    resumable = str(tmp_path / "resumable")
+    assert crawl(sf_smoke, resumable, resumable=True) == read_graph(resumable).count() == second
